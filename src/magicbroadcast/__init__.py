@@ -7,6 +7,7 @@ from .states import (
     DensityMatrix,
     PureState,
     apply_unitary,
+    bloch_batch,
     bloch_from_density,
     density_from_bloch,
     fidelity_pure_mixed,
@@ -19,17 +20,12 @@ from .states import (
     tensor,
 )
 from .stabilizers import (
-    PauliString,
     StabilizerSet,
-    WeylOperator,
     clifford_group_1q,
-    pauli_group,
     stabilizer_states,
-    weyl_group,
 )
 from .polytope import (
     GeometryCertificate,
-    MagicPolytope,
     broadcast_geometry_certificate,
     line_polytope_intersections,
     polytope_membership,
@@ -38,11 +34,11 @@ from .measures import (
     MagicReport,
     magic_power,
     magic_report,
+    rom_batch,
     rom_lp_oracle,
     rom_qubit,
     sre2_extended,
     sre2_pure,
-    sre2_qudit,
     witness_d,
 )
 from .cloners import (

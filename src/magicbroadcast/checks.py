@@ -15,21 +15,18 @@ import numpy as np
 from . import tolerances as tol
 from .cloners import (
     BroadcasterSpec,
-    maximal_magic_spec,
     theorem2_falsify,
     unrestricted_broadcast,
 )
 from .errors import InvalidInputError
-from .measures import rom_lp_batch, rom_qubit, sre2_pure
+from .measures import rom_batch, rom_lp_batch, rom_qubit, sre2_pure
 from .polytope import (
     broadcast_geometry_certificate,
-    line_polytope_intersections,
     scan_polytope_crossings,
 )
 from .stabilizers import clifford_group_1q, pauli_matrices
 from .states import (
     BlochVector,
-    DensityMatrix,
     PureState,
     apply_unitary,
     density_from_bloch,
@@ -135,7 +132,7 @@ def check_lemma1(n_samples: int = 100_000, seed: int = 0) -> VerificationReport:
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     bloch = random_qubit_bloch(rng, n_samples)
-    closed = np.maximum(1.0, np.abs(bloch).sum(axis=1))
+    closed = rom_batch(bloch)
     oracle = rom_lp_batch(bloch)
     violation = np.max(np.abs(closed - oracle))
     return _report("lemma1", n_samples, violation, tol.LEMMA_EQUIV, seed, t0)
@@ -182,15 +179,11 @@ def check_convexity(n_samples: int = 1000, seed: int = 0) -> VerificationReport:
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     bloch = random_qubit_bloch(rng, 2 * n_samples)
-    worst = 0.0
-    for k in range(n_samples):
-        lam = rng.random()
-        b1, b2 = bloch[2 * k], bloch[2 * k + 1]
-        mixed = max(1.0, np.abs(lam * b1 + (1.0 - lam) * b2).sum())
-        bound = lam * max(1.0, np.abs(b1).sum()) + (1.0 - lam) * max(
-            1.0, np.abs(b2).sum()
-        )
-        worst = max(worst, mixed - bound)
+    b1, b2 = bloch[0::2], bloch[1::2]
+    lam = rng.random(n_samples)
+    mixed = rom_batch(lam[:, None] * b1 + (1.0 - lam[:, None]) * b2)
+    bound = lam * rom_batch(b1) + (1.0 - lam) * rom_batch(b2)
+    worst = np.max(mixed - bound, initial=0.0)
     return _report("convexity", n_samples, worst, tol.CLIFFORD_INVARIANCE, seed, t0)
 
 
@@ -227,7 +220,7 @@ def check_theorem2(
     """
     t0 = time.perf_counter()
     grid = np.linspace(0.0, 2.0 * math.pi, n_samples, endpoint=False)
-    report = theorem2_falsify(maximal_magic_spec(), theta, grid)
+    report = theorem2_falsify(theta, grid)
     violation = max(
         report.closed_form_max_err,
         report.output_spread,
@@ -266,11 +259,9 @@ def check_geometry(
         r = rng.uniform(1.0, level)
         cert = broadcast_geometry_certificate(*points, r)
 
-        for (b0, b1), exact in (
-            ((points[0], points[1]), cert.sys_t),
-            ((points[2], points[3]), cert.aux_t),
-        ):
-            scanned = scan_polytope_crossings(b0, b1, r, scan_points)
+        sys_scan = scan_polytope_crossings(points[0], points[1], r, scan_points)
+        aux_scan = scan_polytope_crossings(points[2], points[3], r, scan_points)
+        for scanned, exact in ((sys_scan, cert.sys_t), (aux_scan, cert.aux_t)):
             for t_scan in scanned:
                 nearest = min(
                     (abs(t_scan - t) for t in exact), default=math.inf
@@ -278,9 +269,7 @@ def check_geometry(
                 worst = max(worst, min(nearest, 1.0))
 
         scan_common = any(
-            abs(ts - ta) <= resolution
-            for ts in scan_polytope_crossings(points[0], points[1], r, scan_points)
-            for ta in scan_polytope_crossings(points[2], points[3], r, scan_points)
+            abs(ts - ta) <= resolution for ts in sys_scan for ta in aux_scan
         )
         if cert.broadcastable and not scan_common:
             worst = max(worst, 1.0)

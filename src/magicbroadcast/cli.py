@@ -22,12 +22,11 @@ from .cloners import (
     bh_magic,
     eta_schwarz_max,
     m_ratio,
-    wz_broadcast_check,
     wz_output_magic,
     wz_state_check,
 )
-from .errors import MagicBroadcastError
-from .measures import magic_report, rom_qubit
+from .errors import MagicBroadcastError, UnsupportedError
+from .measures import magic_report, rom_batch
 from .optimize import (
     OptimizerConfig,
     batch_experiment,
@@ -35,15 +34,15 @@ from .optimize import (
 )
 from .polytope import broadcast_geometry_certificate
 from .states import (
+    T_POLAR_ANGLE,
     BlochVector,
     PureState,
+    bloch_batch,
     h_state,
     superpose,
     t_perp_state,
     t_state,
 )
-
-_GAMMA_T = math.acos(1.0 / math.sqrt(3.0))
 
 STATE_SPEC_HELP = (
     "state spec: a name (T, Tperp, H, zero, one, plus, minus, plus_i, "
@@ -112,6 +111,10 @@ def _emit(text: str, out: str | None):
 
 def cmd_magic(args) -> int:
     state = parse_state_spec(args.state)
+    if state.dim != 2 and not args.json:
+        raise UnsupportedError(
+            "text output covers one-qubit states only; use --json"
+        )
     report = magic_report(state)
     if args.json:
         _emit(json.dumps(report.to_json()), args.out)
@@ -132,7 +135,7 @@ def cmd_magic(args) -> int:
 def _wz_params(args) -> WZParams:
     if args.ref is not None:
         return {
-            "T": WZParams(_GAMMA_T, math.pi / 4.0),
+            "T": WZParams(T_POLAR_ANGLE, math.pi / 4.0),
             "H": WZParams(math.pi / 4.0, 0.0),
             "zero": WZParams(0.0, 0.0),
             "plus": WZParams(math.pi / 2.0, 0.0),
@@ -157,6 +160,12 @@ def _rows_to_output(header, rows, args) -> int:
     return 0
 
 
+def _sweep_robustness(inputs) -> np.ndarray:
+    """Robustness of every sweep input in one call of the batched core."""
+    amps = np.array([psi.amps for psi in inputs]).reshape(-1, 2)   # (0, 2) if empty
+    return rom_batch(bloch_batch(amps[:, :, None] * amps[:, None, :].conj()))
+
+
 def cmd_clone(args) -> int:
     if args.machine == "wz":
         params = _wz_params(args)
@@ -173,13 +182,13 @@ def cmd_clone(args) -> int:
             )
         thetas = np.linspace(0.0, 2.0 * math.pi, args.sweep_points,
                              endpoint=False)
+        ref, perp = params.reference(), params.reference_perp()
+        inputs = [superpose(ref, perp, float(t), args.zeta) for t in thetas]
         rows = []
-        for theta in thetas:
-            check = wz_broadcast_check(params, float(theta), args.zeta)
+        for theta, input_magic in zip(thetas, _sweep_robustness(inputs)):
             output_magic = wz_output_magic(params, float(theta))
             rows.append(
-                (theta, check.input_magic, output_magic,
-                 output_magic / check.input_magic)
+                (theta, input_magic, output_magic, output_magic / input_magic)
             )
         return _rows_to_output(
             ("theta", "input_magic", "output_magic", "ratio"), rows, args
@@ -187,11 +196,11 @@ def cmd_clone(args) -> int:
 
     eta = args.eta if args.eta is not None else eta_schwarz_max(args.xi)
     params = BHParams(args.xi, eta)
-    zetas = np.linspace(0.0, 2.0 * math.pi, args.sweep_points, endpoint=False)
+    zetas = [float(z) for z in
+             np.linspace(0.0, 2.0 * math.pi, args.sweep_points, endpoint=False)]
+    inputs = [bh_input_state(args.theta, zeta) for zeta in zetas]
     rows = []
-    for zeta in zetas:
-        zeta = float(zeta)
-        input_magic = rom_qubit(bh_input_state(args.theta, zeta).density())
+    for zeta, input_magic in zip(zetas, _sweep_robustness(inputs)):
         output_magic = bh_magic(params, args.theta, zeta)
         rows.append(
             (zeta, input_magic, output_magic,
@@ -330,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="bh machine parameter xi")
     p.add_argument("--eta", type=float, default=None,
                    help="bh machine parameter eta (default: Schwarz maximum)")
-    p.add_argument("--theta", type=float, default=_GAMMA_T,
+    p.add_argument("--theta", type=float, default=T_POLAR_ANGLE,
                    help="bh input polar angle")
     p.add_argument("--zeta", type=float, default=0.0,
                    help="fixed phase for wz theta sweeps")

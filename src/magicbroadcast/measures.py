@@ -1,6 +1,6 @@
 """Magic quantifiers: the witness D, robustness of magic (closed form and an
-independent LP oracle), stabilizer Renyi entropy of order 2 (pure, extended,
-qudit), and the magic-generating power of two-qubit unitaries.
+independent LP oracle), stabilizer Renyi entropy of order 2 (pure and
+extended), and the magic-generating power of two-qubit unitaries.
 """
 from __future__ import annotations
 
@@ -12,12 +12,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tolerances as tol
-from .errors import InvalidDimensionError, InvalidUnitaryError, UnsupportedError
-from .stabilizers import pauli_matrices, stabilizer_states, weyl_matrices
+from .errors import InvalidDimensionError, InvalidUnitaryError
+from .stabilizers import pauli_matrices, stabilizer_states
 from .states import (
-    BlochVector,
     DensityMatrix,
     PureState,
+    bloch_batch,
     bloch_from_density,
     partial_trace,
 )
@@ -58,15 +58,20 @@ def witness_d(rho: DensityMatrix, n: int) -> float:
     return float(np.abs(traces).sum() / 2 ** n)
 
 
+def rom_batch(bloch: np.ndarray) -> np.ndarray:
+    """Qubit robustness of magic max{1, sum_j |m_j|} over a trailing axis of 3.
+
+    The single implementation of the closed form (Lemma 1); `rom_qubit`,
+    the search objective and the check suites all evaluate it here.
+    """
+    return np.maximum(1.0, np.add.reduce(np.abs(bloch), axis=-1))
+
+
 def rom_qubit(rho: DensityMatrix) -> float:
     """Robustness of magic of a qubit state: max{1, sum_j |m_j|}."""
     if rho.dim != 2:
         raise InvalidDimensionError(f"expected a qubit state, got dim {rho.dim}")
-    return max(1.0, bloch_from_density(rho).abs_sum())
-
-
-def rom_from_bloch(b: BlochVector) -> float:
-    return max(1.0, b.abs_sum())
+    return float(rom_batch(bloch_batch(rho.mat)))
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +126,11 @@ def rom_lp_batch(bloch: np.ndarray) -> np.ndarray:
 
 
 def rom_lp_oracle(rho: DensityMatrix) -> float:
-    """Exact LP optimum of the pseudomixture decomposition (qubit only)."""
+    """Exact LP optimum of the pseudomixture decomposition (qubit only).
+
+    Reads the Bloch vector through `bloch_from_density`, not the batched
+    core behind `rom_qubit`, so the oracle shares no code with it.
+    """
     if rho.dim != 2:
         raise InvalidDimensionError(f"expected a qubit state, got dim {rho.dim}")
     b = bloch_from_density(rho).as_array()
@@ -161,20 +170,6 @@ def sre2_extended(rho: DensityMatrix, n: int) -> float:
     traces = np.einsum("pij,ji->p", pauli_matrices(n), rho.mat).real
     ratio = float((traces ** 4).sum() / (traces ** 2).sum())
     return max(0.0, -math.log(ratio) / _LOG2)
-
-
-def sre2_qudit(psi: PureState, d: int) -> float:
-    """Order-2 stabilizer Renyi entropy of a single prime-d qudit."""
-    if d not in (2, 3, 5, 7):
-        raise UnsupportedError(f"d must be a prime <= 7, got {d}")
-    if psi.dim != d:
-        raise InvalidDimensionError(f"state dim {psi.dim} != {d}")
-    amps = psi.amps
-    expectations = np.abs(
-        np.einsum("wij,i,j->w", weyl_matrices(d), amps.conj(), amps)
-    )
-    collision = float((expectations ** 4).sum() / d)
-    return max(0.0, -math.log(collision) / _LOG2)
 
 
 def magic_power(unitary: np.ndarray) -> float:

@@ -8,14 +8,13 @@ algebra; a single run is strictly deterministic given its seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import tolerances as tol
 from .errors import InvalidInputError
-from .measures import magic_power, rom_qubit
-from .states import DensityMatrix, PureState, haar_random_pure
+from .measures import magic_power, rom_batch, rom_qubit
+from .states import DensityMatrix, PureState, bloch_batch, haar_random_pure
 
 N_PARAMS = 15
 _TWO_PI = 2.0 * math.pi
@@ -102,15 +101,6 @@ def _evolved_batch(params: np.ndarray, psi_amps: np.ndarray):
     return rho_sys, rho_aux
 
 
-def _rom_batch_2x2(rho: np.ndarray) -> np.ndarray:
-    abs_sum = (
-        2.0 * np.abs(rho[:, 0, 1].real)
-        + 2.0 * np.abs(rho[:, 0, 1].imag)
-        + np.abs(rho[:, 0, 0].real - rho[:, 1, 1].real)
-    )
-    return np.maximum(1.0, abs_sum)
-
-
 def _fidelity_batch_2x2(rho: np.ndarray, psi_amps: np.ndarray) -> np.ndarray:
     return np.einsum("i,nij,j->n", psi_amps.conj(), rho, psi_amps).real
 
@@ -144,27 +134,18 @@ def objective_state(p: UnitaryParams15, psi: PureState) -> float:
 def _objective_batch(params, psi_amps, objective: str) -> np.ndarray:
     rho_sys, rho_aux = _evolved_batch(params, psi_amps)
     if objective == "magic":
-        target = _input_rom(psi_amps)
-        return np.maximum(
-            np.abs(_rom_batch_2x2(rho_sys) - target),
-            np.abs(_rom_batch_2x2(rho_aux) - target),
+        # one core call for both outputs and, in the last row, the input
+        rho = np.concatenate(
+            (rho_sys, rho_aux, np.outer(psi_amps, psi_amps.conj())[None])
         )
+        rom = rom_batch(bloch_batch(rho))
+        return np.abs(rom[:-1] - rom[-1]).reshape(2, -1).max(axis=0)
     if objective == "state":
         return np.maximum(
             1.0 - _fidelity_batch_2x2(rho_sys, psi_amps),
             1.0 - _fidelity_batch_2x2(rho_aux, psi_amps),
         )
     raise InvalidInputError(f"unknown objective {objective!r}")
-
-
-def _input_rom(psi_amps: np.ndarray) -> float:
-    rho01 = psi_amps[0] * psi_amps[1].conjugate()
-    abs_sum = (
-        2.0 * abs(rho01.real)
-        + 2.0 * abs(rho01.imag)
-        + abs(abs(psi_amps[0]) ** 2 - abs(psi_amps[1]) ** 2)
-    )
-    return max(1.0, abs_sum)
 
 
 @dataclass(frozen=True)
@@ -305,7 +286,7 @@ def isres_optimize(
         aux_fidelity=float(_fidelity_batch_2x2(rho_aux, psi_amps)[0]),
         sys_magic=rom_qubit(sys_rho),
         aux_magic=rom_qubit(aux_rho),
-        input_magic=_input_rom(psi_amps),
+        input_magic=rom_qubit(psi.density()),
         magic_power=magic_power(build_unitary(params)),
         evals_used=used,
         converged=best_f <= cfg.epsilon,

@@ -7,8 +7,7 @@ sign-orthant since the level function is piecewise linear along a segment.
 """
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,17 +16,6 @@ from .errors import InconsistentReferenceError, InvalidLevelError
 from .states import BlochVector
 
 _ROOT_DEDUP = 1e-12
-
-
-@dataclass(frozen=True)
-class MagicPolytope:
-    """Surface sum_j |m_j| = level inside the Bloch ball."""
-
-    level: float
-
-    def __post_init__(self):
-        if self.level < 1.0:
-            raise InvalidLevelError(f"level must be >= 1, got {self.level}")
 
 
 @dataclass(frozen=True)
@@ -51,10 +39,14 @@ class GeometryCertificate:
         }
 
 
+def _check_level(r: float):
+    if not r >= 1.0:                # also rejects NaN
+        raise InvalidLevelError(f"level must be >= 1, got {r}")
+
+
 def polytope_membership(b: BlochVector, r: float) -> str:
     """Classify a Bloch vector as 'inside', 'on-surface', or 'outside'."""
-    if r < 1.0:
-        raise InvalidLevelError(f"level must be >= 1, got {r}")
+    _check_level(r)
     gap = b.abs_sum() - r
     if abs(gap) <= tol.SURFACE:
         return "on-surface"
@@ -70,8 +62,7 @@ def line_polytope_intersections(
     crossings of each coordinate and a linear equation is solved per piece.
     If a whole piece lies on the surface its endpoints are returned.
     """
-    if r < 1.0:
-        raise InvalidLevelError(f"level must be >= 1, got {r}")
+    _check_level(r)
     start = b0.as_array()
     delta = b1.as_array() - start
 
@@ -121,13 +112,12 @@ def broadcast_geometry_certificate(
     """
     levels = [v.abs_sum() for v in (sys0, sys1, aux0, aux1)]
     ref = levels[0]
-    if max(levels) - min(levels) > tol.LEVEL_MATCH:
+    if not max(levels) - min(levels) <= tol.LEVEL_MATCH:
         raise InconsistentReferenceError(
             f"endpoint levels differ: {levels!r}"
         )
-    if r < 1.0:
-        raise InvalidLevelError(f"level must be >= 1, got {r}")
-    if r > ref + tol.LEVEL_MATCH:
+    _check_level(r)
+    if not r <= ref + tol.LEVEL_MATCH:
         raise InvalidLevelError(
             f"target level {r} exceeds the reference level {ref}"
         )

@@ -1,5 +1,5 @@
-"""Pauli strings, Weyl operators, the single-qubit Clifford group, and the
-pure stabilizer-state sets for one and two qubits.
+"""Pauli-string matrices, the single-qubit Clifford group, and the pure
+stabilizer-state sets for one and two qubits.
 
 Group tables are built once via the module-level caches and are read-only, so
 they can be shared freely across threads.
@@ -12,51 +12,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import tolerances as tol
 from .errors import UnsupportedError
 from .states import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z, PureState
 
 _PAULI_1Q = (IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z)
-_SUPPORTED_PRIMES = (2, 3, 5, 7)
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 PHASE_S = np.array([[1, 0], [0, 1j]], dtype=complex)
 CNOT = np.array(
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
 )
-
-
-@dataclass(frozen=True, eq=False)
-class PauliString:
-    """n-qubit Pauli tensor product, encoded base-4 (I=0, X=1, Y=2, Z=3)."""
-
-    n: int
-    code: int
-
-    def matrix(self) -> np.ndarray:
-        mat = np.array([[1.0 + 0j]])
-        code = self.code
-        # most significant digit acts on the first qubit
-        for site in reversed(range(self.n)):
-            digit = (code >> (2 * site)) & 3
-            mat = np.kron(mat, _PAULI_1Q[digit])
-        return mat
-
-
-@dataclass(frozen=True, eq=False)
-class WeylOperator:
-    """Generalized Pauli X^a Z^b on a prime-d qudit."""
-
-    d: int
-    a: int
-    b: int
-
-    def matrix(self) -> np.ndarray:
-        d = self.d
-        omega = np.exp(2j * math.pi / d)
-        shift = np.roll(np.eye(d, dtype=complex), self.a, axis=0)
-        clock = np.diag(omega ** (self.b * np.arange(d)))
-        return shift @ clock
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,29 +36,25 @@ class StabilizerSet:
         return np.array([s.amps for s in self.states])
 
 
-def pauli_group(n: int):
-    """The 4^n Pauli strings on n in {1, 2} qubits, identity first."""
+def _check_n(n: int):
     if n not in (1, 2):
         raise UnsupportedError(f"only 1 or 2 qubits are supported, got {n}")
-    return [PauliString(n, code) for code in range(4 ** n)]
 
 
 @functools.lru_cache(maxsize=None)
 def pauli_matrices(n: int) -> np.ndarray:
-    """All Pauli-string matrices stacked as a (4^n, 2^n, 2^n) array."""
-    return np.array([p.matrix() for p in pauli_group(n)])
+    """The 4^n Pauli strings on n in {1, 2} qubits, a (4^n, 2^n, 2^n) array.
 
-
-def weyl_group(d: int):
-    """The d^2 Weyl operators X^a Z^b on a prime-d qudit (d <= 7)."""
-    if d not in _SUPPORTED_PRIMES:
-        raise UnsupportedError(f"d must be a prime <= 7, got {d}")
-    return [WeylOperator(d, a, b) for a in range(d) for b in range(d)]
-
-
-@functools.lru_cache(maxsize=None)
-def weyl_matrices(d: int) -> np.ndarray:
-    return np.array([w.matrix() for w in weyl_group(d)])
+    Ordered base 4 (I=0, X=1, Y=2, Z=3) with the first qubit's factor as
+    the most significant digit, so the identity comes first.
+    """
+    _check_n(n)
+    mats = [np.ones((1, 1), dtype=complex)]
+    for _ in range(n):
+        mats = [np.kron(m, p) for m in mats for p in _PAULI_1Q]
+    table = np.array(mats)
+    table.setflags(write=False)
+    return table
 
 
 def _phase_canonical(amps: np.ndarray) -> np.ndarray:
@@ -109,44 +70,38 @@ def _canonical_key(amps: np.ndarray) -> tuple:
     return tuple(np.round(fixed, 9).view(float))
 
 
+def _orbit(generators, start: np.ndarray) -> list:
+    """Closure of `start` under left multiplication by the generators.
+
+    Breadth-first, deduplicated up to global phase by canonical phase fixing
+    of the flattened array; elements keep their order of discovery.
+    """
+    found = {_canonical_key(start.ravel()): start}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for elem in frontier:
+            for gen in generators:
+                cand = gen @ elem
+                key = _canonical_key(cand.ravel())
+                if key not in found:
+                    fixed = _phase_canonical(cand.ravel()).reshape(cand.shape)
+                    found[key] = fixed
+                    nxt.append(fixed)
+        frontier = nxt
+    return list(found.values())
+
+
 @functools.lru_cache(maxsize=None)
 def clifford_group_1q() -> tuple:
     """The 24 single-qubit Clifford unitaries, up to global phase.
 
-    Built as the closure of <H, S> with matrices deduplicated by canonical
-    phase fixing of the flattened matrix.
+    Built as the closure of <H, S> acting on the identity.
     """
-    generators = (HADAMARD, PHASE_S)
-    found = {}
-    frontier = [IDENTITY_2]
-    found[_canonical_key(IDENTITY_2.ravel())] = IDENTITY_2
-    while frontier:
-        nxt = []
-        for mat in frontier:
-            for gen in generators:
-                cand = gen @ mat
-                key = _canonical_key(cand.ravel())
-                if key not in found:
-                    fixed = _phase_canonical(cand.ravel()).reshape(2, 2)
-                    found[key] = fixed
-                    nxt.append(fixed)
-        frontier = nxt
-    mats = tuple(found.values())
+    mats = tuple(_orbit((HADAMARD, PHASE_S), IDENTITY_2))
     for m in mats:
         m.setflags(write=False)
     return mats
-
-
-@functools.lru_cache(maxsize=None)
-def _two_qubit_clifford_generators() -> tuple:
-    gens = [
-        np.kron(HADAMARD, IDENTITY_2),
-        np.kron(IDENTITY_2, HADAMARD),
-        np.kron(PHASE_S, IDENTITY_2),
-        np.kron(IDENTITY_2, PHASE_S),
-        CNOT,
-    ]
-    return tuple(gens)
 
 
 @functools.lru_cache(maxsize=None)
@@ -156,27 +111,18 @@ def stabilizer_states(n: int) -> StabilizerSet:
     Generated as the orbit of |0...0> under the Clifford generators,
     deduplicated up to global phase.
     """
-    if n not in (1, 2):
-        raise UnsupportedError(f"only 1 or 2 qubits are supported, got {n}")
+    _check_n(n)
     if n == 1:
         generators = (HADAMARD, PHASE_S)
-        start = np.array([1, 0], dtype=complex)
     else:
-        generators = _two_qubit_clifford_generators()
-        start = np.zeros(4, dtype=complex)
-        start[0] = 1.0
-    found = {_canonical_key(start): _phase_canonical(start)}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for vec in frontier:
-            for gen in generators:
-                cand = gen @ vec
-                key = _canonical_key(cand)
-                if key not in found:
-                    fixed = _phase_canonical(cand)
-                    found[key] = fixed
-                    nxt.append(fixed)
-        frontier = nxt
-    states = tuple(PureState(v) for v in found.values())
+        generators = (
+            np.kron(HADAMARD, IDENTITY_2),
+            np.kron(IDENTITY_2, HADAMARD),
+            np.kron(PHASE_S, IDENTITY_2),
+            np.kron(IDENTITY_2, PHASE_S),
+            CNOT,
+        )
+    start = np.zeros(2 ** n, dtype=complex)
+    start[0] = 1.0
+    states = tuple(PureState(v) for v in _orbit(generators, start))
     return StabilizerSet(n, states)

@@ -16,6 +16,7 @@ from . import tolerances as tol
 from .errors import (
     InvalidBasisError,
     InvalidDimensionError,
+    InvalidInputError,
     NotAStateError,
 )
 
@@ -24,8 +25,8 @@ SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 IDENTITY_2 = np.eye(2, dtype=complex)
 
-# cos(2 gamma) = 1/sqrt(3) puts the T-state Bloch vector on the (1,1,1) axis
-_GAMMA_T = 0.5 * math.acos(1.0 / math.sqrt(3.0))
+# Polar angle of the T-state Bloch vector (1,1,1)/sqrt(3): cos = 1/sqrt(3)
+T_POLAR_ANGLE = math.acos(1.0 / math.sqrt(3.0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -41,7 +42,7 @@ class PureState:
         if amps.ndim != 1 or amps.size < 2:
             raise InvalidDimensionError("amplitude vector must have length >= 2")
         norm_sq = float(np.vdot(amps, amps).real)
-        if abs(norm_sq - 1.0) > tol.NORM:
+        if not abs(norm_sq - 1.0) <= tol.NORM:      # also rejects NaN
             raise NotAStateError(f"state is not normalized: |psi|^2 = {norm_sq!r}")
 
     @property
@@ -64,11 +65,12 @@ class DensityMatrix:
         object.__setattr__(self, "mat", mat)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] < 2:
             raise InvalidDimensionError(f"not a square matrix: shape {mat.shape}")
-        if np.max(np.abs(mat - mat.conj().T)) > tol.HERMITICITY:
+        # comparisons are written so that NaN fails them
+        if not np.max(np.abs(mat - mat.conj().T)) <= tol.HERMITICITY:
             raise NotAStateError("matrix is not Hermitian")
-        if abs(np.trace(mat).real - 1.0) > tol.HERMITICITY:
+        if not abs(np.trace(mat).real - 1.0) <= tol.HERMITICITY:
             raise NotAStateError(f"trace is {np.trace(mat)!r}, expected 1")
-        if np.min(np.linalg.eigvalsh(mat)) < -tol.EIGENVALUE:
+        if not np.min(np.linalg.eigvalsh(mat)) >= -tol.EIGENVALUE:
             raise NotAStateError("matrix has negative eigenvalues")
 
     @property
@@ -85,7 +87,7 @@ class BlochVector:
     m3: float
 
     def __post_init__(self):
-        if self.norm_sq() > 1.0 + tol.BLOCH_BALL:
+        if not self.norm_sq() <= 1.0 + tol.BLOCH_BALL:   # also rejects NaN
             raise NotAStateError(f"Bloch vector outside the unit ball: {self}")
 
     def norm_sq(self) -> float:
@@ -129,6 +131,16 @@ def bloch_from_density(rho: DensityMatrix) -> BlochVector:
     )
 
 
+def bloch_batch(rho: np.ndarray) -> np.ndarray:
+    """Magnetizations of qubit density arrays: (..., 2, 2) -> (..., 3)."""
+    off = rho[..., 0, 1]
+    out = np.empty(off.shape + (3,))
+    np.multiply(off.real, 2.0, out=out[..., 0])
+    np.multiply(off.imag, -2.0, out=out[..., 1])
+    np.subtract(rho[..., 0, 0].real, rho[..., 1, 1].real, out=out[..., 2])
+    return out
+
+
 def density_from_bloch(b: BlochVector) -> DensityMatrix:
     """Inverse of `bloch_from_density`: rho = (I + sum m_j sigma_j) / 2."""
     mat = 0.5 * (
@@ -139,16 +151,14 @@ def density_from_bloch(b: BlochVector) -> DensityMatrix:
 
 def t_state() -> PureState:
     """Maximal-magic qubit state, Bloch vector (1,1,1)/sqrt(3)."""
-    return PureState(
-        [math.cos(_GAMMA_T), math.sin(_GAMMA_T) * np.exp(1j * math.pi / 4)]
-    )
+    half = T_POLAR_ANGLE / 2.0
+    return PureState([math.cos(half), math.sin(half) * np.exp(1j * math.pi / 4)])
 
 
 def t_perp_state() -> PureState:
     """State orthogonal to the T-state (phase fixed by convention)."""
-    return PureState(
-        [math.sin(_GAMMA_T), -math.cos(_GAMMA_T) * np.exp(1j * math.pi / 4)]
-    )
+    half = T_POLAR_ANGLE / 2.0
+    return PureState([math.sin(half), -math.cos(half) * np.exp(1j * math.pi / 4)])
 
 
 def h_state() -> PureState:
@@ -160,6 +170,8 @@ def superpose(
     psi: PureState, psi_perp: PureState, theta: float, zeta: float
 ) -> PureState:
     """cos(theta/2) |psi> + e^{i zeta} sin(theta/2) |psi_perp>."""
+    if not (math.isfinite(theta) and math.isfinite(zeta)):
+        raise InvalidInputError(f"angles must be finite, got {theta!r}, {zeta!r}")
     if psi.dim != psi_perp.dim:
         raise InvalidDimensionError("basis states have different dimensions")
     overlap = np.vdot(psi.amps, psi_perp.amps)

@@ -36,9 +36,7 @@ from magicbroadcast.stabilizers import (
     clifford_group_1q,
     stabilizer_states,
 )
-from magicbroadcast.states import bloch_from_density, h_state
-
-GAMMA_T = math.acos(1.0 / math.sqrt(3.0))
+from magicbroadcast.states import T_POLAR_ANGLE, bloch_from_density, h_state
 
 
 VERDICTS = []
@@ -65,7 +63,7 @@ def test_criterion_01_closed_form_matches_lp_oracle():
 
 def test_criterion_02_named_state_magic():
     r_t = rom_qubit(
-        WZParams(GAMMA_T, math.pi / 4.0).reference().density()
+        WZParams(T_POLAR_ANGLE, math.pi / 4.0).reference().density()
     )
     r_h = rom_qubit(h_state().density())
     r_stab = max(
@@ -127,7 +125,7 @@ def test_criterion_05_auxiliary_magic_bound():
 def test_criterion_06_wz_overproduction_on_h_input():
     from magicbroadcast.cloners import wz_state_check
 
-    check = wz_state_check(WZParams(GAMMA_T, math.pi / 4.0), h_state())
+    check = wz_state_check(WZParams(T_POLAR_ANGLE, math.pi / 4.0), h_state())
     expected = math.sqrt((3.0 + math.sqrt(6.0)) / 2.0)
     ok = (
         abs(check.output_magic - expected) <= 1e-6

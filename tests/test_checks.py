@@ -1,7 +1,10 @@
+import numpy as np
 import pytest
 
 from magicbroadcast.checks import (
     VerificationReport,
+    check_convexity,
+    random_qubit_bloch,
     run_suite,
     suite_names,
 )
@@ -57,3 +60,19 @@ def test_suites_are_deterministic_per_seed():
     a = run_suite("clifford", n_samples=100, seed=3)
     b = run_suite("clifford", n_samples=100, seed=3)
     assert a.max_violation == b.max_violation
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_batched_convexity_matches_the_per_sample_loop(seed):
+    rng = np.random.default_rng(seed)
+    bloch = random_qubit_bloch(rng, 400)
+    worst = 0.0
+    for k in range(200):
+        lam = rng.random()
+        b1, b2 = bloch[2 * k], bloch[2 * k + 1]
+        mixed = max(1.0, np.abs(lam * b1 + (1.0 - lam) * b2).sum())
+        bound = lam * max(1.0, np.abs(b1).sum()) + (1.0 - lam) * max(
+            1.0, np.abs(b2).sum()
+        )
+        worst = max(worst, mixed - bound)
+    assert check_convexity(n_samples=200, seed=seed).max_violation == worst

@@ -65,6 +65,28 @@ def test_magic_command_usage_error(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("magic", "nan,0"),
+    ("clone", "wz", "--gamma", "nan"),
+    ("clone", "bh", "--theta", "nan"),
+    ("geometry", "--level", "nan", "--", "1,0,0", "0,1,0", "0,0,1", "-1,0,0"),
+])
+def test_nan_input_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
+def test_magic_two_qubit_text_mode_points_to_json(capsys):
+    code, out, err = run(capsys, "magic", "amps=0.5,0.5,0.5,0.5")
+    assert code == 2
+    assert err.startswith("error:") and "--json" in err
+    code, out, _ = run(capsys, "magic", "amps=0.5,0.5,0.5,0.5", "--json")
+    assert code == 0
+    assert json.loads(out)["n"] == 2
+
+
 def test_clone_wz_named_input(capsys):
     code, out, _ = run(capsys, "clone", "wz", "--ref", "T", "--input", "H")
     assert code == 0

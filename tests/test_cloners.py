@@ -29,6 +29,7 @@ from magicbroadcast.cloners import (
 from magicbroadcast.errors import InvalidMachineError
 from magicbroadcast.measures import rom_qubit
 from magicbroadcast.states import (
+    T_POLAR_ANGLE,
     bloch_from_density,
     h_state,
     superpose,
@@ -36,8 +37,7 @@ from magicbroadcast.states import (
     t_state,
 )
 
-GAMMA_T = math.acos(1.0 / math.sqrt(3.0))
-T_REF = WZParams(GAMMA_T, math.pi / 4.0)
+T_REF = WZParams(T_POLAR_ANGLE, math.pi / 4.0)
 angles = st.floats(0.0, 2.0 * math.pi, allow_nan=False)
 
 
@@ -55,7 +55,7 @@ def test_wz_reference_states_and_magic():
 
 
 def test_wz_output_is_reference_diagonal_mixture():
-    rho = wz_output(T_REF, math.pi / 3.0, 0.7)
+    rho = wz_output(T_REF, math.pi / 3.0)
     expected = (
         math.cos(math.pi / 6.0) ** 2 * t_state().density().mat
         + math.sin(math.pi / 6.0) ** 2 * t_perp_state().density().mat
@@ -181,7 +181,7 @@ def test_superposition_closed_form_matches_direct_robustness(theta, zeta):
 
 def test_theorem2_sweep_finds_large_gap():
     grid = np.linspace(0.0, 2.0 * math.pi, 720, endpoint=False)
-    report = theorem2_falsify(maximal_magic_spec(), math.pi / 4.0, grid)
+    report = theorem2_falsify(math.pi / 4.0, grid)
     assert report.max_gap > 0.1
     assert report.closed_form_max_err <= 1e-9
     assert report.output_spread <= 1e-12

@@ -5,15 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from magicbroadcast.errors import (
-    InvalidDimensionError,
-    InvalidUnitaryError,
-    UnsupportedError,
-)
+from magicbroadcast.errors import InvalidUnitaryError
 from magicbroadcast.measures import (
     magic_power,
     magic_report,
-    rom_from_bloch,
+    rom_batch,
     rom_lp_batch,
     rom_lp_oracle,
     rom_qubit,
@@ -21,12 +17,10 @@ from magicbroadcast.measures import (
     sre2_monotone_gap,
     sre2_pure,
     sre2_pure_batch,
-    sre2_qudit,
     witness_d,
 )
 from magicbroadcast.stabilizers import (
     CNOT,
-    HADAMARD,
     clifford_group_1q,
     stabilizer_states,
 )
@@ -34,6 +28,7 @@ from magicbroadcast.states import (
     BlochVector,
     DensityMatrix,
     PureState,
+    bloch_batch,
     density_from_bloch,
     h_state,
     haar_random_pure,
@@ -123,24 +118,6 @@ def test_sre2_clifford_invariance_spot_check():
         assert sre2_pure(rotated, 1) == pytest.approx(base, abs=1e-12)
 
 
-def test_sre2_qudit_zero_on_basis_states_and_positive_otherwise():
-    for d in (3, 5, 7):
-        basis = np.zeros(d)
-        basis[0] = 1.0
-        assert sre2_qudit(PureState(basis), d) == pytest.approx(0.0, abs=1e-12)
-        generic = PureState(np.arange(1.0, d + 1) / np.linalg.norm(
-            np.arange(1.0, d + 1)
-        ))
-        assert sre2_qudit(generic, d) > 0.01
-
-
-def test_sre2_qudit_rejects_bad_dimension():
-    with pytest.raises(UnsupportedError):
-        sre2_qudit(PureState([1.0, 0.0, 0.0, 0.0]), 4)
-    with pytest.raises(InvalidDimensionError):
-        sre2_qudit(PureState([1.0, 0.0]), 3)
-
-
 def test_magic_power_zero_on_clifford_and_positive_on_t_gate():
     assert magic_power(CNOT) <= 1e-10
     t_gate = np.diag([1.0, np.exp(1j * math.pi / 4.0)])
@@ -187,4 +164,17 @@ def test_stabilizer_states_have_zero_sre2():
 
 
 def test_rom_from_bloch_floors_at_one():
-    assert rom_from_bloch(BlochVector(0.1, 0.1, 0.1)) == 1.0
+    assert rom_batch(BlochVector(0.1, 0.1, 0.1).as_array()) == 1.0
+    bloch = np.array([[[0.1, 0.1, 0.1], [1.0, 0.0, 0.0]], [[0.5, -0.5, 0.5], [0.0, 0.0, 0.0]]])
+    assert np.array_equal(rom_batch(bloch), [[1.0, 1.0], [1.5, 1.0]])
+
+
+@settings(max_examples=200)
+@given(st.integers(0, 2**32 - 1))
+def test_rom_qubit_is_the_batched_core_on_density_arrays(seed):
+    rng = np.random.default_rng(seed)
+    rhos = [haar_random_pure(2, rng).density().mat for _ in range(4)]
+    weights = rng.dirichlet(np.ones(4))
+    rhos.append(sum(w * r for w, r in zip(weights, rhos)))
+    batch = rom_batch(bloch_batch(np.array(rhos)))
+    assert [rom_qubit(DensityMatrix(r)) for r in rhos] == list(batch)

@@ -119,3 +119,14 @@ def test_certificate_json_schema():
     assert payload["schema"] == 1
     assert payload["broadcastable"] is True
     assert isinstance(payload["common_t"], list)
+
+
+@given(st.one_of(st.just(math.nan), st.floats(max_value=1.0, exclude_max=True)))
+def test_every_level_check_rejects_nan_and_sub_unit_levels(r):
+    a, b = BlochVector(S3, S3, S3), BlochVector(-S3, -S3, -S3)
+    with pytest.raises(InvalidLevelError):
+        polytope_membership(a, r)
+    with pytest.raises(InvalidLevelError):
+        line_polytope_intersections(a, b, r)
+    with pytest.raises(InvalidLevelError):
+        broadcast_geometry_certificate(a, b, a, b, r)

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -8,30 +6,26 @@ from magicbroadcast.stabilizers import (
     CNOT,
     HADAMARD,
     PHASE_S,
-    PauliString,
-    WeylOperator,
     clifford_group_1q,
-    pauli_group,
     pauli_matrices,
     stabilizer_states,
-    weyl_group,
-    weyl_matrices,
 )
 
 
 def test_pauli_group_sizes():
-    assert len(pauli_group(1)) == 4
-    assert len(pauli_group(2)) == 16
+    assert pauli_matrices(1).shape == (4, 2, 2)
+    assert pauli_matrices(2).shape == (16, 4, 4)
+    # the cached table is shared by every caller
+    assert not pauli_matrices(2).flags.writeable
 
 
 def test_pauli_group_rejects_large_n():
     with pytest.raises(UnsupportedError):
-        pauli_group(3)
+        pauli_matrices(3)
 
 
 def test_pauli_strings_are_hermitian_and_unitary():
-    for p in pauli_group(2):
-        m = p.matrix()
+    for m in pauli_matrices(2):
         assert np.allclose(m, m.conj().T, atol=1e-15)
         assert np.allclose(m @ m, np.eye(4), atol=1e-15)
 
@@ -40,28 +34,6 @@ def test_pauli_matrices_are_trace_orthogonal():
     mats = pauli_matrices(2)
     gram = np.einsum("pij,qji->pq", mats, mats).real
     assert np.allclose(gram, 4.0 * np.eye(16), atol=1e-12)
-
-
-def test_weyl_operators_are_unitary_and_satisfy_commutation():
-    for d in (2, 3, 5, 7):
-        omega = np.exp(2j * math.pi / d)
-        x = WeylOperator(d, 1, 0).matrix()
-        z = WeylOperator(d, 0, 1).matrix()
-        assert np.allclose(x @ x.conj().T, np.eye(d), atol=1e-12)
-        assert np.allclose(z @ x, omega * x @ z, atol=1e-12)
-
-
-def test_weyl_group_size_is_d_squared():
-    for d in (2, 3, 5):
-        assert len(weyl_group(d)) == d * d
-        assert weyl_matrices(d).shape == (d * d, d, d)
-
-
-def test_weyl_rejects_composite_or_large_dimension():
-    with pytest.raises(UnsupportedError):
-        weyl_group(4)
-    with pytest.raises(UnsupportedError):
-        weyl_group(11)
 
 
 def test_clifford_group_has_24_elements_mod_phase():
@@ -109,4 +81,7 @@ def test_generator_matrices():
 
 
 def test_pauli_string_identity_is_code_zero():
-    assert np.allclose(PauliString(2, 0).matrix(), np.eye(4))
+    assert np.array_equal(pauli_matrices(2)[0], np.eye(4))
+    # base-4 code 4a + b is the string P_a (x) P_b, first qubit most significant
+    x, z = pauli_matrices(1)[1], pauli_matrices(1)[3]
+    assert np.array_equal(pauli_matrices(2)[4 * 1 + 3], np.kron(x, z))

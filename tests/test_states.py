@@ -145,3 +145,35 @@ def test_fidelity_bounds_and_self_fidelity(seed):
     f = fidelity_pure_mixed(psi, phi.density())
     assert 0.0 <= f <= 1.0
     assert fidelity_pure_mixed(psi, psi.density()) == pytest.approx(1.0)
+
+
+# ---------------------------------------------------------------------------
+# non-finite input: every validator comparison must fail on NaN
+# ---------------------------------------------------------------------------
+
+non_finite = st.sampled_from([math.nan, math.inf, -math.inf])
+coords = st.floats(-0.5, 0.5)
+
+
+@given(coords, coords, coords, st.integers(0, 2), non_finite)
+def test_bloch_vector_rejects_non_finite(x, y, z, index, bad):
+    m = [x, y, z]
+    m[index] = bad
+    with pytest.raises(NotAStateError):
+        BlochVector(*m)
+
+
+@given(angles, angles, st.integers(0, 1), non_finite, st.booleans())
+def test_pure_state_rejects_non_finite(theta, zeta, index, bad, imaginary):
+    amps = superpose(t_state(), t_perp_state(), theta, zeta).amps.copy()
+    amps[index] = complex(0.0, bad) if imaginary else bad
+    with pytest.raises(NotAStateError):
+        PureState(amps)
+
+
+@given(coords, coords, coords, st.integers(0, 1), st.integers(0, 1), non_finite)
+def test_density_matrix_rejects_non_finite(x, y, z, i, j, bad):
+    mat = density_from_bloch(BlochVector(x, y, z)).mat.copy()
+    mat[i, j] = bad
+    with pytest.raises(NotAStateError):
+        DensityMatrix(mat)
