@@ -309,4 +309,6 @@ def run_suite(name: str, n_samples=None, seed: int = 0) -> VerificationReport:
     fn = _SUITES[name]
     if n_samples is None:
         return fn(seed=seed)
+    if n_samples < 1:               # a suite over no samples would pass vacuously
+        raise InvalidInputError(f"n_samples must be >= 1, got {n_samples}")
     return fn(n_samples=n_samples, seed=seed)

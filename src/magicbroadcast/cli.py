@@ -241,7 +241,9 @@ def cmd_experiment(args) -> int:
     if args.seed is not None:
         cfg_data["seed"] = args.seed
     cfg = OptimizerConfig.from_json(cfg_data)
-    n_samples = args.samples or cfg_data.get("n_samples", 200)
+    n_samples = args.samples
+    if n_samples is None:
+        n_samples = cfg_data.get("n_samples", 200)
 
     out_dir = Path(args.out or ".")
     out_dir.mkdir(parents=True, exist_ok=True)

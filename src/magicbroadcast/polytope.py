@@ -143,29 +143,27 @@ def scan_polytope_crossings(
 ) -> list:
     """Dense-scan oracle: approximate crossing parameters on a uniform grid.
 
-    Independent of the exact solver; used to validate it. Returns one t per
-    sign change (or near-zero touch) of the level function.
+    Independent of the exact solver: it shares no code with
+    `line_polytope_intersections`, which it validates. Returns, sorted, one t
+    per sign change (or near-zero touch) of the level function. Whole-array
+    numpy, bit-identical to the per-cell loop it replaced.
     """
     start = b0.as_array()
     delta = b1.as_array() - start
     t = np.linspace(0.0, 1.0, points)
     values = np.abs(start[None, :] + t[:, None] * delta[None, :]).sum(axis=1) - r
-    crossings = []
     step = t[1] - t[0]
-    for k in range(points - 1):
-        if values[k] == 0.0 or values[k] * values[k + 1] < 0.0:
-            # linear interpolation inside the cell
-            denom = values[k + 1] - values[k]
-            frac = 0.0 if denom == 0.0 else -values[k] / denom
-            crossings.append(float(t[k] + frac * step))
-    if values[-1] == 0.0:
-        crossings.append(1.0)
+    lo, hi = values[:-1], values[1:]
+    k = np.flatnonzero((lo == 0.0) | (lo * hi < 0.0))
+    # linear interpolation inside each crossing cell; frac = 0 on flat cells
+    denom = hi[k] - lo[k]
+    frac = np.divide(-lo[k], denom, out=np.zeros_like(denom), where=denom != 0.0)
     # tangential touches: local minima within grid resolution of the surface
-    for k in range(1, points - 1):
-        if (
-            abs(values[k]) < r * step
-            and values[k - 1] > values[k] <= values[k + 1]
-            and values[k] > 0.0
-        ):
-            crossings.append(float(t[k]))
-    return sorted(crossings)
+    mid = values[1:-1]
+    touch = (
+        (np.abs(mid) < r * step) & (lo[:-1] > mid) & (mid <= hi[1:]) & (mid > 0.0)
+    )
+    crossings = [t[k] + frac * step, t[1:-1][touch]]
+    if values[-1] == 0.0:
+        crossings.append(np.ones(1))
+    return np.sort(np.concatenate(crossings)).tolist()

@@ -65,6 +65,8 @@ class DensityMatrix:
         object.__setattr__(self, "mat", mat)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] < 2:
             raise InvalidDimensionError(f"not a square matrix: shape {mat.shape}")
+        if not np.isfinite(mat).all():     # before inf - inf makes a NaN
+            raise NotAStateError("matrix has non-finite entries")
         # comparisons are written so that NaN fails them
         if not np.max(np.abs(mat - mat.conj().T)) <= tol.HERMITICITY:
             raise NotAStateError("matrix is not Hermitian")

@@ -130,6 +130,17 @@ def test_verify_command_passes_and_sets_exit_code(capsys):
     assert payload["samples"] == 500
 
 
+@pytest.mark.parametrize("count", ["0", "-1"])
+@pytest.mark.parametrize(
+    "suite", ["geometry", "theorem3", "clifford", "lemma1", "monotone"]
+)
+def test_verify_without_samples_is_usage_error(capsys, suite, count):
+    code, out, err = run(capsys, "verify", suite, "--samples", count)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "n_samples" in err
+
+
 def test_verify_unknown_suite_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "nonsense"])
@@ -193,3 +204,18 @@ def test_outputs_written_to_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert json.loads(target.read_text())["schema"] == 1
+
+
+@pytest.mark.parametrize("count", ["0", "-1"])
+def test_experiment_without_samples_is_usage_error(tmp_path, capsys, count):
+    # an explicit count is not replaced by the config's count
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n_samples": 1, "max_evals": 100}))
+    code, out, err = run(
+        capsys, "experiment", "magic", "--samples", count,
+        "--out", str(tmp_path / "run"), "--config", str(cfg),
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "n_samples" in err
+    assert not (tmp_path / "run" / "magic_summary.json").exists()

@@ -8,7 +8,7 @@ import sys
 
 import numpy as np
 
-from magicbroadcast import measures
+from magicbroadcast import measures, polytope
 from magicbroadcast.checks import run_suite
 
 
@@ -29,3 +29,16 @@ def test_lemma1_catches_rom_without_its_clip(monkeypatch):
     report = run_suite("lemma1", n_samples=2000)
     assert not report.passed
     assert report.max_violation > 0.1
+
+
+def test_geometry_catches_shifted_exact_roots(monkeypatch):
+    original = polytope.line_polytope_intersections
+
+    def shifted(b0, b1, r):
+        return [t + 1e-3 for t in original(b0, b1, r)]
+
+    assert run_suite("geometry", n_samples=50).passed
+    _plant(monkeypatch, original, shifted)
+    report = run_suite("geometry", n_samples=50)
+    assert not report.passed
+    assert report.max_violation > 5e-4
