@@ -25,7 +25,7 @@ from .cloners import (
     wz_output_magic,
     wz_state_check,
 )
-from .errors import MagicBroadcastError, UnsupportedError
+from .errors import InvalidInputError, MagicBroadcastError, UnsupportedError
 from .measures import magic_report, rom_batch
 from .optimize import (
     OptimizerConfig,
@@ -162,14 +162,23 @@ def _rows_to_output(header, rows, args) -> int:
 
 def _sweep_robustness(inputs) -> np.ndarray:
     """Robustness of every sweep input in one call of the batched core."""
-    amps = np.array([psi.amps for psi in inputs]).reshape(-1, 2)   # (0, 2) if empty
+    amps = np.array([psi.amps for psi in inputs])
     return rom_batch(bloch_batch(amps[:, :, None] * amps[:, None, :].conj()))
+
+
+def _sweep_grid(points: int) -> np.ndarray:
+    """`points` equally spaced angles in [0, 2 pi); an empty sweep is refused."""
+    if points < 1:
+        raise InvalidInputError(f"--sweep-points must be >= 1, got {points}")
+    return np.linspace(0.0, 2.0 * math.pi, points, endpoint=False)
 
 
 def cmd_clone(args) -> int:
     if args.machine == "wz":
         params = _wz_params(args)
-        if args.input:
+        if args.input is not None:
+            if not args.input:
+                raise InvalidInputError("--input needs at least one state")
             rows = []
             for spec in args.input:
                 check = wz_state_check(params, parse_state_spec(spec))
@@ -180,8 +189,7 @@ def cmd_clone(args) -> int:
             return _rows_to_output(
                 ("theta", "input_magic", "output_magic", "ratio"), rows, args
             )
-        thetas = np.linspace(0.0, 2.0 * math.pi, args.sweep_points,
-                             endpoint=False)
+        thetas = _sweep_grid(args.sweep_points)
         ref, perp = params.reference(), params.reference_perp()
         inputs = [superpose(ref, perp, float(t), args.zeta) for t in thetas]
         rows = []
@@ -196,8 +204,7 @@ def cmd_clone(args) -> int:
 
     eta = args.eta if args.eta is not None else eta_schwarz_max(args.xi)
     params = BHParams(args.xi, eta)
-    zetas = [float(z) for z in
-             np.linspace(0.0, 2.0 * math.pi, args.sweep_points, endpoint=False)]
+    zetas = [float(z) for z in _sweep_grid(args.sweep_points)]
     inputs = [bh_input_state(args.theta, zeta) for zeta in zetas]
     rows = []
     for zeta, input_magic in zip(zetas, _sweep_robustness(inputs)):
@@ -244,6 +251,10 @@ def cmd_experiment(args) -> int:
     n_samples = args.samples
     if n_samples is None:
         n_samples = cfg_data.get("n_samples", 200)
+    if not (isinstance(n_samples, int) and n_samples >= 1):   # before any write
+        raise InvalidInputError(
+            f"n_samples must be an integer >= 1, got {n_samples!r}"
+        )
 
     out_dir = Path(args.out or ".")
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -20,6 +20,8 @@ from .states import (
     BlochVector,
     DensityMatrix,
     PureState,
+    bloch_batch,
+    density_from_bloch,
     superpose,
     t_perp_state,
     t_state,
@@ -254,20 +256,38 @@ class BroadcasterSpec:
         return rom_qubit(self.ref_in[0].density())
 
 
+def unrestricted_broadcast_batch(alpha, beta, sys_bloch, aux_bloch) -> tuple:
+    """Bloch vectors of both reduced outputs for inputs alpha |psi> + beta |psi_perp>.
+
+    `alpha` and `beta` have shape (...); `sys_bloch` and `aux_bloch` hold each
+    machine's two reference outputs, shape (..., 2, 3).  Orthogonal machine
+    states wash out all coherences, leaving the convex mixtures
+    w_a m_a + w_b m_b with weights w_a = |alpha|^2 and w_b = |beta|^2.
+    """
+    wa = np.abs(np.asarray(alpha)) ** 2
+    wb = np.abs(np.asarray(beta)) ** 2
+    total = wa + wb
+    if not np.all(np.abs(total - 1.0) <= tol.WEIGHTS):     # also rejects NaN
+        worst = total.flat[np.argmax(np.abs(total - 1.0))]
+        raise InvalidInputError(f"|alpha|^2 + |beta|^2 = {worst}, expected 1")
+    wa, wb = wa[..., None], wb[..., None]
+    return (
+        wa * sys_bloch[..., 0, :] + wb * sys_bloch[..., 1, :],
+        wa * aux_bloch[..., 0, :] + wb * aux_bloch[..., 1, :],
+    )
+
+
 def unrestricted_broadcast(
     spec: BroadcasterSpec, alpha: complex, beta: complex
 ) -> tuple:
-    """Reduced outputs for the input alpha |psi> + beta |psi_perp>.
+    """Reduced outputs (sys, aux) for the input alpha |psi> + beta |psi_perp>.
 
-    Orthogonal machine states wash out all coherences, leaving the convex
-    mixtures of the reference outputs with weights |alpha|^2 and |beta|^2.
+    One row of `unrestricted_broadcast_batch`, as density matrices.
     """
-    wa, wb = abs(alpha) ** 2, abs(beta) ** 2
-    if abs(wa + wb - 1.0) > tol.WEIGHTS:
-        raise InvalidInputError(f"|alpha|^2 + |beta|^2 = {wa + wb}, expected 1")
-    sys_rho = DensityMatrix(wa * spec.sys_out[0].mat + wb * spec.sys_out[1].mat)
-    aux_rho = DensityMatrix(wa * spec.aux_out[0].mat + wb * spec.aux_out[1].mat)
-    return sys_rho, aux_rho
+    refs = bloch_batch(np.array([[rho.mat for rho in spec.sys_out],
+                                 [rho.mat for rho in spec.aux_out]]))
+    outputs = unrestricted_broadcast_batch(alpha, beta, refs[0], refs[1])
+    return tuple(density_from_bloch(BlochVector(*m)) for m in outputs)
 
 
 def maximal_magic_spec() -> BroadcasterSpec:

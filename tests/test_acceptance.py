@@ -117,8 +117,9 @@ def test_criterion_05_auxiliary_magic_bound():
     _verdict(
         5,
         report.passed,
-        f"1e4 random broadcaster specs: worst excess of auxiliary over "
-        f"reference magic {report.max_violation:.2e} (tol 1e-9)",
+        f"1e4 random broadcasters: worst excess of auxiliary over reference "
+        f"magic or of a reference output off its level "
+        f"{report.max_violation:.2e} (tol 1e-9)",
     )
 
 

@@ -1,14 +1,22 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from magicbroadcast import checks
+from magicbroadcast import tolerances as tol
 from magicbroadcast.checks import (
     VerificationReport,
     check_convexity,
     random_qubit_bloch,
     run_suite,
+    sample_bloch_on_levels,
     suite_names,
 )
-from magicbroadcast.errors import InvalidInputError
+from magicbroadcast.errors import InvalidInputError, MagicBroadcastError
+from magicbroadcast.states import BlochVector
 
 
 def test_suite_names_are_sorted_and_complete():
@@ -76,3 +84,97 @@ def test_batched_convexity_matches_the_per_sample_loop(seed):
         )
         worst = max(worst, mixed - bound)
     assert check_convexity(n_samples=200, seed=seed).max_violation == worst
+
+
+# ---------------------------------------------------------------------------
+# level sampler
+# ---------------------------------------------------------------------------
+
+def _loop_sampler(level: float, rng) -> BlochVector:
+    """The rejection loop of `sample_bloch_on_level`, kept verbatim."""
+    while True:
+        w = rng.standard_normal(3)
+        w /= np.linalg.norm(w)
+        m = w * (level / np.abs(w).sum())
+        if m @ m <= 1.0:
+            return BlochVector(*m)
+
+
+def _loop_draws(level: float, seed: int, k: int) -> np.ndarray:
+    """The first k draws of `_loop_sampler` from `seed`, on blocks of normals.
+
+    A generator gives the same normals in one block as in calls of 3, so
+    this replays the loop at array speed (the loop needs ~36 directions per
+    draw at level 1.72).
+    """
+    rng = np.random.default_rng(seed)
+    kept = []
+    while sum(len(block) for block in kept) < k:
+        w = rng.standard_normal((8 * k, 3))
+        w /= np.linalg.norm(w, axis=1, keepdims=True)
+        m = w * (level / np.abs(w).sum(axis=1, keepdims=True))
+        kept.append(m[np.einsum("ij,ij->i", m, m) <= 1.0])
+    return np.concatenate(kept)[:k]
+
+
+def _ks_statistic(a, b) -> float:
+    a, b = np.sort(a), np.sort(b)
+    grid = np.concatenate([a, b])
+    cdf_a = np.searchsorted(a, grid, side="right") / a.size
+    cdf_b = np.searchsorted(b, grid, side="right") / b.size
+    return float(np.max(np.abs(cdf_a - cdf_b)))
+
+
+KS_LEVELS = (1.0, 1.2, 1.5, 1.65, 1.72)
+
+
+@pytest.mark.parametrize("level", KS_LEVELS)
+def test_loop_replay_draws_what_the_loop_draws(level):
+    rng = np.random.default_rng(11)
+    loop = np.array([_loop_sampler(level, rng).as_array() for _ in range(200)])
+    np.testing.assert_allclose(_loop_draws(level, 11, 200), loop, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("level", KS_LEVELS)
+def test_level_sampler_has_the_rejection_loops_law(level):
+    k = 20_000
+    bound = 1.63 * math.sqrt(2.0 / k)        # two-sample KS, 1 % level
+    seed = int(level * 100)
+    ref = _loop_draws(level, seed, k)
+    new = sample_bloch_on_levels(np.full(k, level), np.random.default_rng(seed))
+    for stat in (lambda m: np.linalg.norm(m, axis=1), lambda m: m[:, 0],
+                 lambda m: np.abs(m).min(axis=1)):
+        assert _ks_statistic(stat(ref), stat(new)) < bound
+
+
+def test_level_sampler_at_the_boundary_levels():
+    rng = np.random.default_rng(0)
+    top = sample_bloch_on_levels(np.full(500, math.sqrt(3.0)), rng)
+    np.testing.assert_allclose(np.abs(top), 1.0 / math.sqrt(3.0), rtol=0, atol=1e-12)
+    assert {tuple(row) for row in np.sign(top)} == {
+        (a, b, c) for a in (-1, 1) for b in (-1, 1) for c in (-1, 1)
+    }
+    unit = sample_bloch_on_levels(np.full(500, 1.0), rng)
+    assert np.all(np.einsum("ij,ij->i", unit, unit) <= 1.0 + tol.BLOCH_BALL)
+    np.testing.assert_allclose(np.abs(unit).sum(axis=1), 1.0, rtol=0, atol=1e-12)
+
+
+@settings(max_examples=200)
+@given(st.floats(0.0, math.sqrt(3.0)), st.integers(0, 2 ** 32 - 1))
+def test_level_sampler_lands_on_the_level_in_the_ball(level, seed):
+    m = sample_bloch_on_levels(np.full(16, level), np.random.default_rng(seed))
+    assert m.shape == (16, 3)
+    np.testing.assert_allclose(np.abs(m).sum(axis=1), level, rtol=0, atol=1e-12)
+    assert np.all(np.einsum("ij,ij->i", m, m) <= 1.0 + tol.BLOCH_BALL)
+
+
+@pytest.mark.parametrize("level", [math.nan, -1e-9, -1.0, math.sqrt(3.0) + 1e-6, 2.0])
+def test_level_sampler_rejects_bad_levels(level):
+    with pytest.raises(InvalidInputError):
+        sample_bloch_on_levels(np.array([1.2, level]), np.random.default_rng(0))
+
+
+def test_level_sampler_raises_when_its_rounds_run_out(monkeypatch):
+    monkeypatch.setattr(checks, "_MAX_ROUNDS", 0)
+    with pytest.raises(MagicBroadcastError, match="rounds"):
+        sample_bloch_on_levels(np.array([1.0]), np.random.default_rng(0))

@@ -219,3 +219,44 @@ def test_experiment_without_samples_is_usage_error(tmp_path, capsys, count):
     assert out == ""
     assert err.startswith("error:") and "n_samples" in err
     assert not (tmp_path / "run" / "magic_summary.json").exists()
+
+
+@pytest.mark.parametrize("count", [["--samples", "0"], ["--samples", "-1"], []])
+def test_experiment_bad_count_writes_nothing(tmp_path, capsys, count):
+    # the last case takes the count from a config that holds a string
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n_samples": "5"}))
+    out_dir = tmp_path / "D"
+    code, out, err = run(
+        capsys, "experiment", "magic", *count, "--out", str(out_dir),
+        "--config", str(cfg),
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "n_samples" in err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("count", ["0", "-1", "-100"])
+@pytest.mark.parametrize(
+    "machine", [["wz", "--ref", "T"], ["wz", "--ref", "H"], ["bh"]]
+)
+def test_clone_empty_sweep_is_usage_error(capsys, machine, count):
+    code, out, err = run(capsys, "clone", *machine, "--sweep-points", count)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "--sweep-points" in err
+
+
+def test_clone_input_without_states_is_usage_error(capsys):
+    code, out, err = run(capsys, "clone", "wz", "--ref", "T", "--input")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "--input" in err
+
+
+def test_clone_single_point_sweep(capsys):
+    code, out, _ = run(capsys, "clone", "bh", "--sweep-points", "1")
+    assert code == 0
+    assert out.splitlines()[0] == "zeta,input_magic,output_magic,ratio"
+    assert len(out.splitlines()) == 2

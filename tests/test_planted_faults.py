@@ -8,7 +8,7 @@ import sys
 
 import numpy as np
 
-from magicbroadcast import measures, polytope
+from magicbroadcast import checks, cloners, measures, polytope
 from magicbroadcast.checks import run_suite
 
 
@@ -40,5 +40,32 @@ def test_geometry_catches_shifted_exact_roots(monkeypatch):
     assert run_suite("geometry", n_samples=50).passed
     _plant(monkeypatch, original, shifted)
     report = run_suite("geometry", n_samples=50)
+    assert not report.passed
+    assert report.max_violation > 5e-4
+
+
+def test_theorem3_catches_unsquared_weights(monkeypatch):
+    def unsquared(alpha, beta, sys_bloch, aux_bloch):
+        wa, wb = np.abs(alpha)[:, None], np.abs(beta)[:, None]
+        return (wa * sys_bloch[:, 0] + wb * sys_bloch[:, 1],
+                wa * aux_bloch[:, 0] + wb * aux_bloch[:, 1])
+
+    assert run_suite("theorem3", n_samples=200).passed
+    _plant(monkeypatch, cloners.unrestricted_broadcast_batch, unsquared)
+    report = run_suite("theorem3", n_samples=200)
+    assert not report.passed
+    assert report.max_violation > 0.1
+
+
+def test_theorem3_catches_a_sampler_off_the_level(monkeypatch):
+    original = checks.sample_bloch_on_levels
+
+    def off_level(levels, rng):
+        m = original(levels, rng)
+        return m * (1.0 + 1e-3 / np.abs(m).sum(axis=1, keepdims=True))
+
+    assert run_suite("theorem3", n_samples=200).passed
+    _plant(monkeypatch, original, off_level)
+    report = run_suite("theorem3", n_samples=200)
     assert not report.passed
     assert report.max_violation > 5e-4
