@@ -15,6 +15,7 @@ from .states import (
     haar_random_pure,
     partial_trace,
     superpose,
+    superpose_batch,
     t_perp_state,
     t_state,
     tensor,
@@ -45,6 +46,7 @@ from .cloners import (
     BHParams,
     BroadcasterSpec,
     WZParams,
+    bh_input_amps,
     bh_magic,
     bh_output,
     m_ratio,

@@ -18,7 +18,7 @@ import numpy as np
 from .cloners import (
     BHParams,
     WZParams,
-    bh_input_state,
+    bh_input_amps,
     bh_magic,
     eta_schwarz_max,
     m_ratio,
@@ -40,6 +40,7 @@ from .states import (
     bloch_batch,
     h_state,
     superpose,
+    superpose_batch,
     t_perp_state,
     t_state,
 )
@@ -160,10 +161,14 @@ def _rows_to_output(header, rows, args) -> int:
     return 0
 
 
-def _sweep_robustness(inputs) -> np.ndarray:
-    """Robustness of every sweep input in one call of the batched core."""
-    amps = np.array([psi.amps for psi in inputs])
+def _sweep_robustness(amps: np.ndarray) -> np.ndarray:
+    """Robustness of every (n, 2) sweep input row in one call of the core."""
     return rom_batch(bloch_batch(amps[:, :, None] * amps[:, None, :].conj()))
+
+
+def _sweep_rows(columns) -> list:
+    """Rows of Python floats (they format faster than numpy scalars)."""
+    return np.column_stack(columns).tolist()
 
 
 def _sweep_grid(points: int) -> np.ndarray:
@@ -173,7 +178,17 @@ def _sweep_grid(points: int) -> np.ndarray:
     return np.linspace(0.0, 2.0 * math.pi, points, endpoint=False)
 
 
+def _check_machine_flags(args):
+    """Refuse a non-finite machine parameter by its flag, before any formula."""
+    for name in ("gamma", "gamma_prime", "zeta", "xi", "eta", "theta"):
+        value = getattr(args, name)
+        if value is not None and not math.isfinite(value):
+            flag = "--" + name.replace("_", "-")
+            raise InvalidInputError(f"{flag} must be finite, got {value!r}")
+
+
 def cmd_clone(args) -> int:
+    _check_machine_flags(args)
     if args.machine == "wz":
         params = _wz_params(args)
         if args.input is not None:
@@ -190,31 +205,29 @@ def cmd_clone(args) -> int:
                 ("theta", "input_magic", "output_magic", "ratio"), rows, args
             )
         thetas = _sweep_grid(args.sweep_points)
-        ref, perp = params.reference(), params.reference_perp()
-        inputs = [superpose(ref, perp, float(t), args.zeta) for t in thetas]
-        rows = []
-        for theta, input_magic in zip(thetas, _sweep_robustness(inputs)):
-            output_magic = wz_output_magic(params, float(theta))
-            rows.append(
-                (theta, input_magic, output_magic, output_magic / input_magic)
-            )
+        amps = superpose_batch(
+            params.reference(), params.reference_perp(), thetas, args.zeta
+        )
+        input_magic = _sweep_robustness(amps)
+        output_magic = wz_output_magic(params, thetas)
+        columns = (thetas, input_magic, output_magic, output_magic / input_magic)
         return _rows_to_output(
-            ("theta", "input_magic", "output_magic", "ratio"), rows, args
+            ("theta", "input_magic", "output_magic", "ratio"),
+            _sweep_rows(columns), args,
         )
 
     eta = args.eta if args.eta is not None else eta_schwarz_max(args.xi)
     params = BHParams(args.xi, eta)
-    zetas = [float(z) for z in _sweep_grid(args.sweep_points)]
-    inputs = [bh_input_state(args.theta, zeta) for zeta in zetas]
-    rows = []
-    for zeta, input_magic in zip(zetas, _sweep_robustness(inputs)):
-        output_magic = bh_magic(params, args.theta, zeta)
-        rows.append(
-            (zeta, input_magic, output_magic,
-             m_ratio(params, args.theta, zeta))
-        )
+    zetas = _sweep_grid(args.sweep_points)
+    columns = (
+        zetas,
+        _sweep_robustness(bh_input_amps(args.theta, zetas)),
+        bh_magic(params, args.theta, zetas),
+        m_ratio(params, args.theta, zetas),
+    )
     return _rows_to_output(
-        ("zeta", "input_magic", "output_magic", "ratio"), rows, args
+        ("zeta", "input_magic", "output_magic", "ratio"),
+        _sweep_rows(columns), args,
     )
 
 

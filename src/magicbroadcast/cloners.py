@@ -83,13 +83,17 @@ def wz_output(p: WZParams, theta: float) -> DensityMatrix:
     return DensityMatrix(c2 * rho_ref + (1.0 - c2) * rho_perp)
 
 
-def wz_output_magic_unclipped(p: WZParams, theta: float) -> float:
-    """|cos theta| times the reference magic, without the R >= 1 clip."""
-    return abs(math.cos(theta)) * p.reference_magic()
+def wz_output_magic_unclipped(p: WZParams, theta):
+    """|cos theta| times the reference magic, without the R >= 1 clip.
+
+    `theta` may be an array of machine angles; the result has its shape.
+    """
+    return np.abs(np.cos(theta)) * p.reference_magic()
 
 
-def wz_output_magic(p: WZParams, theta: float) -> float:
-    return max(1.0, wz_output_magic_unclipped(p, theta))
+def wz_output_magic(p: WZParams, theta):
+    """Robustness of either clone, clipped at the stabilizer floor."""
+    return np.maximum(1.0, wz_output_magic_unclipped(p, theta))
 
 
 def wz_broadcast_check(p: WZParams, theta: float, zeta: float) -> WZCheck:
@@ -100,7 +104,7 @@ def wz_broadcast_check(p: WZParams, theta: float, zeta: float) -> WZCheck:
     """
     state = superpose(p.reference(), p.reference_perp(), theta, zeta)
     input_magic = rom_qubit(state.density())
-    output_magic = wz_output_magic_unclipped(p, theta)
+    output_magic = float(wz_output_magic_unclipped(p, theta))
     return WZCheck(
         perfect=abs(input_magic - output_magic) <= tol.BROADCAST_EQUALITY,
         input_magic=input_magic,
@@ -139,13 +143,15 @@ class BHParams:
     eta: float
 
     def __post_init__(self):
-        if not 0.0 <= self.xi <= 0.5:
-            raise InvalidMachineError(f"xi must lie in [0, 1/2], got {self.xi}")
-        bound = eta_schwarz_max(self.xi)
-        if not 0.0 <= self.eta <= bound + 1e-12:
-            raise InvalidMachineError(
-                f"eta = {self.eta} outside [0, {bound}] for xi = {self.xi}"
-            )
+        # arrays of xi and eta describe a family of machines, each one checked
+        for xi, eta in np.broadcast(self.xi, self.eta):
+            if not 0.0 <= xi <= 0.5:
+                raise InvalidMachineError(f"xi must lie in [0, 1/2], got {xi}")
+            bound = eta_schwarz_max(xi)
+            if not 0.0 <= eta <= bound + 1e-12:
+                raise InvalidMachineError(
+                    f"eta = {eta} outside [0, {bound}] for xi = {xi}"
+                )
 
 
 def eta_schwarz_max(xi: float) -> float:
@@ -153,18 +159,24 @@ def eta_schwarz_max(xi: float) -> float:
     return 2.0 * math.sqrt(xi) * math.sqrt(max(0.0, 1.0 - 2.0 * xi))
 
 
-def bh_input_state(theta: float, zeta: float) -> PureState:
-    """Machine input cos(theta/2)|0> + e^{-i zeta} sin(theta/2)|1>.
+def bh_input_amps(theta, zeta) -> np.ndarray:
+    """Amplitudes of the machine input cos(theta/2)|0> + e^{-i zeta} sin(theta/2)|1>.
 
-    The phase sign matches the output matrix convention of `bh_output`, so
-    the state-independent machine scales Bloch vectors componentwise.
+    `theta` and `zeta` broadcast against each other; the result has their
+    shape plus a trailing axis of 2.  The phase sign matches the output
+    matrix convention of `bh_output`, so the state-independent machine
+    scales Bloch vectors componentwise.
     """
-    return PureState(
-        [
-            math.cos(theta / 2.0),
-            np.exp(-1j * zeta) * math.sin(theta / 2.0),
-        ]
-    )
+    theta, zeta = np.broadcast_arrays(theta, zeta)
+    amps = np.empty(theta.shape + (2,), dtype=complex)
+    amps[..., 0] = np.cos(theta / 2.0)
+    amps[..., 1] = np.exp(-1j * zeta) * np.sin(theta / 2.0)
+    return amps
+
+
+def bh_input_state(theta: float, zeta: float) -> PureState:
+    """One row of `bh_input_amps` as a validated state."""
+    return PureState(bh_input_amps(theta, zeta))
 
 
 def bh_output(p: BHParams, theta: float, zeta: float) -> DensityMatrix:
@@ -181,22 +193,27 @@ def bh_output(p: BHParams, theta: float, zeta: float) -> DensityMatrix:
     return DensityMatrix(mat)
 
 
-def bh_magic_unclipped(p: BHParams, theta: float, zeta: float) -> float:
-    return (1.0 - 2.0 * p.xi) * abs(math.cos(theta)) + p.eta * abs(
-        math.sin(theta)
-    ) * (abs(math.cos(zeta)) + abs(math.sin(zeta)))
+def bh_magic_unclipped(p: BHParams, theta, zeta):
+    """(1 - 2 xi)|cos theta| + eta |sin theta| (|cos zeta| + |sin zeta|).
+
+    The angles (and the machine's xi, eta) may be arrays that broadcast
+    against each other; the result has the broadcast shape.
+    """
+    return (1.0 - 2.0 * p.xi) * np.abs(np.cos(theta)) + p.eta * np.abs(
+        np.sin(theta)
+    ) * (np.abs(np.cos(zeta)) + np.abs(np.sin(zeta)))
 
 
-def bh_magic(p: BHParams, theta: float, zeta: float) -> float:
+def bh_magic(p: BHParams, theta, zeta):
     """Robustness of the output clone, clipped at the stabilizer floor."""
-    return max(1.0, bh_magic_unclipped(p, theta, zeta))
+    return np.maximum(1.0, bh_magic_unclipped(p, theta, zeta))
 
 
-def m_ratio(p: BHParams, theta: float, zeta: float) -> float:
-    """Output-to-input magic ratio, both sides unclipped."""
+def m_ratio(p: BHParams, theta, zeta):
+    """Output-to-input magic ratio, both sides unclipped (broadcasts)."""
     numer = bh_magic_unclipped(p, theta, zeta)
-    denom = abs(math.cos(theta)) + abs(math.sin(theta)) * (
-        abs(math.cos(zeta)) + abs(math.sin(zeta))
+    denom = np.abs(np.cos(theta)) + np.abs(np.sin(theta)) * (
+        np.abs(np.cos(zeta)) + np.abs(np.sin(zeta))
     )
     return numer / denom
 
@@ -210,18 +227,13 @@ def bh_low_magic_interval(
     """Achieved (min, max) of the magic ratio in the low-magic regime.
 
     Sweeps zeta over (0, 2 pi) and xi over (0, xi_max], with eta at its
-    Schwarz maximum for each xi.
+    Schwarz maximum for each xi, in one `m_ratio` call over the grid.
     """
     zetas = np.linspace(0.0, 2.0 * math.pi, zeta_points, endpoint=False)
     xis = np.linspace(0.0, xi_max, xi_points)
-    lo, hi = math.inf, -math.inf
-    for xi in xis:
-        p = BHParams(xi, eta_schwarz_max(xi))
-        for zeta in zetas:
-            value = m_ratio(p, theta, zeta)
-            lo = min(lo, value)
-            hi = max(hi, value)
-    return lo, hi
+    etas = np.array([eta_schwarz_max(xi) for xi in xis])
+    ratios = m_ratio(BHParams(xis[:, None], etas[:, None]), theta, zetas)
+    return float(ratios.min()), float(ratios.max())
 
 
 # ---------------------------------------------------------------------------

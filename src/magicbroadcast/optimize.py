@@ -252,7 +252,15 @@ def _es_run(objective, psi_amps, cfg, rng, budget, start=None):
 def isres_optimize(
     objective: str, psi: PureState, cfg: OptimizerConfig
 ) -> BroadcastOutcome:
-    """Best-of-restarts evolution-strategy search for one input state."""
+    """Best-of-restarts evolution-strategy search for one input state.
+
+    Never warm-start this search at the analytic copier 1 x V with
+    V|0> = |psi> (kappa_2 = arg a_1 - arg a_0, lambda_2 = 2 acos|a_0|, all
+    other angles 0).  A known state can be copied, so both objectives are
+    zero there: the search would stop at its first evaluation with the same
+    unitary for both objectives, and the magic-power gap between them that
+    the batch experiment measures would collapse to 0.
+    """
     if objective not in ("magic", "state"):
         raise InvalidInputError(f"unknown objective {objective!r}")
     psi_amps = psi.amps

@@ -168,22 +168,54 @@ def h_state() -> PureState:
     return PureState([math.cos(math.pi / 8), math.sin(math.pi / 8)])
 
 
-def superpose(
-    psi: PureState, psi_perp: PureState, theta: float, zeta: float
-) -> PureState:
-    """cos(theta/2) |psi> + e^{i zeta} sin(theta/2) |psi_perp>."""
-    if not (math.isfinite(theta) and math.isfinite(zeta)):
-        raise InvalidInputError(f"angles must be finite, got {theta!r}, {zeta!r}")
+def _superposition(psi: PureState, psi_perp: PureState, thetas, zetas):
+    """Unit rows cos(theta/2) psi + e^{i zeta} sin(theta/2) psi_perp, basis checked."""
     if psi.dim != psi_perp.dim:
         raise InvalidDimensionError("basis states have different dimensions")
     overlap = np.vdot(psi.amps, psi_perp.amps)
     if abs(overlap) > tol.ORTHOGONALITY:
         raise InvalidBasisError(f"basis states are not orthogonal: <a|b> = {overlap!r}")
-    amps = (
-        math.cos(theta / 2.0) * psi.amps
-        + np.exp(1j * zeta) * math.sin(theta / 2.0) * psi_perp.amps
-    )
-    return PureState(amps / np.linalg.norm(amps))
+    half = np.asarray(thetas, dtype=float)[..., None] / 2.0
+    phase = np.exp(1j * np.asarray(zetas, dtype=float)[..., None])
+    amps = np.cos(half) * psi.amps + phase * np.sin(half) * psi_perp.amps
+    # the two real dot products of np.linalg.norm, row by row (bit-identical)
+    norm = np.sqrt(np.vecdot(amps.real, amps.real) + np.vecdot(amps.imag, amps.imag))
+    amps /= norm[..., None]
+    return amps
+
+
+def superpose_batch(
+    psi: PureState, psi_perp: PureState, thetas, zetas
+) -> np.ndarray:
+    """Amplitudes of cos(theta/2) |psi> + e^{i zeta} sin(theta/2) |psi_perp>.
+
+    `thetas` and `zetas` broadcast against each other; the result has their
+    shape plus a trailing axis of length `psi.dim`, one unit row per angle
+    pair.  The basis is checked once for the whole batch.
+    """
+    for angles in (thetas, zetas):
+        angles = np.asarray(angles, dtype=float)
+        finite = np.isfinite(angles)
+        if not finite.all():
+            bad = float(angles[~finite][0])
+            raise InvalidInputError(f"angles must be finite, got {bad!r}")
+    amps = _superposition(psi, psi_perp, thetas, zetas)
+    norm_sq = np.vecdot(amps, amps).real
+    if not np.all(np.abs(norm_sq - 1.0) <= tol.NORM):      # also rejects NaN
+        raise NotAStateError("superposition is not normalized")
+    return amps
+
+
+def superpose(
+    psi: PureState, psi_perp: PureState, theta: float, zeta: float
+) -> PureState:
+    """cos(theta/2) |psi> + e^{i zeta} sin(theta/2) |psi_perp>.
+
+    One row of `superpose_batch`; `PureState` makes its norm check.
+    """
+    if not (math.isfinite(theta) and math.isfinite(zeta)):
+        raise InvalidInputError(f"angles must be finite, got {theta!r}, {zeta!r}")
+    return PureState(_superposition(psi, psi_perp, theta, zeta))
 
 
 def tensor(a, b):

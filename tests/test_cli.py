@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import magicbroadcast
 from magicbroadcast.cli import main, parse_state_spec
 from magicbroadcast.states import h_state, t_state
 
@@ -260,3 +265,35 @@ def test_clone_single_point_sweep(capsys):
     assert code == 0
     assert out.splitlines()[0] == "zeta,input_magic,output_magic,ratio"
     assert len(out.splitlines()) == 2
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("machine,flag", [
+    (["wz", "--gamma", "1.0"], "--gamma"),
+    (["wz", "--ref", "T"], "--gamma-prime"),
+    (["wz", "--ref", "T"], "--zeta"),
+    (["bh"], "--xi"),
+    (["bh"], "--eta"),
+    (["bh"], "--theta"),
+])
+def test_clone_non_finite_machine_flag_is_usage_error(capsys, machine, flag, value):
+    # a numpy RuntimeWarning from package code would fail this test
+    # (filterwarnings in pyproject.toml)
+    code, out, err = run(capsys, "clone", *machine, f"{flag}={value}")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert f"{flag} must be finite" in err and value in err
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(magicbroadcast.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "magicbroadcast", "magic", "T"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert f"rom         = {math.sqrt(3.0):.17g}" in proc.stdout
+

@@ -1,3 +1,6 @@
+import contextlib
+import io
+import json
 import math
 
 import numpy as np
@@ -5,10 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from magicbroadcast.cli import _wz_params, build_parser, main
 from magicbroadcast.cloners import (
     BHParams,
     BroadcasterSpec,
     WZParams,
+    bh_input_amps,
     bh_input_state,
     bh_low_magic_interval,
     bh_magic,
@@ -27,12 +32,15 @@ from magicbroadcast.cloners import (
     wz_state_check,
 )
 from magicbroadcast.errors import InvalidMachineError
-from magicbroadcast.measures import rom_qubit
+from magicbroadcast.measures import rom_batch, rom_lp_batch, rom_qubit
 from magicbroadcast.states import (
     T_POLAR_ANGLE,
+    PureState,
+    bloch_batch,
     bloch_from_density,
     h_state,
     superpose,
+    superpose_batch,
     t_perp_state,
     t_state,
 )
@@ -206,3 +214,253 @@ def test_auxiliary_magic_never_exceeds_reference(theta, zeta, weight):
     beta = math.sqrt(1.0 - weight)
     _, aux = unrestricted_broadcast(spec, alpha, beta)
     assert rom_qubit(aux) <= spec.reference_magic() + 1e-9
+
+
+# ---------------------------------------------------------------------------
+# array cores: scalar calls, loop references and the LP oracle
+# ---------------------------------------------------------------------------
+
+def _bits(x) -> bytes:
+    return np.asarray(x).tobytes()
+
+
+wide_angles = st.floats(-20.0, 20.0, allow_nan=False)
+
+
+@settings(max_examples=150)
+@given(st.lists(wide_angles, min_size=1, max_size=8), wide_angles,
+       st.floats(0.0, math.pi), wide_angles, st.floats(0.0, 0.5),
+       st.floats(0.0, 1.0), st.data())
+def test_scalar_calls_equal_the_core_rows_bit_for_bit(
+    thetas, zeta, gamma, gamma_p, xi, eta_frac, data
+):
+    i = data.draw(st.integers(0, len(thetas) - 1))
+    t, arr = thetas[i], np.array(thetas)
+    wz = WZParams(gamma, gamma_p)
+    bh = BHParams(xi, eta_frac * eta_schwarz_max(xi))
+    ref, perp = wz.reference(), wz.reference_perp()
+
+    rows = superpose_batch(ref, perp, arr, zeta)
+    assert _bits(superpose(ref, perp, t, zeta).amps) == _bits(rows[i])
+    rows = superpose_batch(ref, perp, zeta, arr)
+    assert _bits(superpose(ref, perp, zeta, t).amps) == _bits(rows[i])
+    assert _bits(wz_output_magic(wz, t)) == _bits(wz_output_magic(wz, arr)[i])
+    for f in (bh_magic, m_ratio):
+        assert _bits(f(bh, zeta, t)) == _bits(f(bh, zeta, arr)[i])
+        assert _bits(f(bh, t, zeta)) == _bits(f(bh, arr, zeta)[i])
+    assert _bits(bh_input_state(zeta, t).amps) == _bits(bh_input_amps(zeta, arr)[i])
+
+
+# ---------------------------------------------------------------------------
+# sweep loops: the scalar code the array sweeps replaced, kept verbatim as
+# their reference (with the scalar formulas it called)
+# ---------------------------------------------------------------------------
+
+def _loop_superpose(psi, psi_perp, theta, zeta):
+    amps = (
+        math.cos(theta / 2.0) * psi.amps
+        + np.exp(1j * zeta) * math.sin(theta / 2.0) * psi_perp.amps
+    )
+    return PureState(amps / np.linalg.norm(amps))
+
+
+def _loop_wz_output_magic(p, theta):
+    return max(1.0, abs(math.cos(theta)) * p.reference_magic())
+
+
+def _loop_bh_input_state(theta, zeta):
+    return PureState(
+        [
+            math.cos(theta / 2.0),
+            np.exp(-1j * zeta) * math.sin(theta / 2.0),
+        ]
+    )
+
+
+def _loop_bh_magic_unclipped(p, theta, zeta):
+    return (1.0 - 2.0 * p.xi) * abs(math.cos(theta)) + p.eta * abs(
+        math.sin(theta)
+    ) * (abs(math.cos(zeta)) + abs(math.sin(zeta)))
+
+
+def _loop_m_ratio(p, theta, zeta):
+    numer = _loop_bh_magic_unclipped(p, theta, zeta)
+    denom = abs(math.cos(theta)) + abs(math.sin(theta)) * (
+        abs(math.cos(zeta)) + abs(math.sin(zeta))
+    )
+    return numer / denom
+
+
+def _loop_sweep_robustness(inputs):
+    amps = np.array([psi.amps for psi in inputs])
+    return rom_batch(bloch_batch(amps[:, :, None] * amps[:, None, :].conj()))
+
+
+def _loop_wz_rows(params, zeta, points):
+    thetas = np.linspace(0.0, 2.0 * math.pi, points, endpoint=False)
+    ref, perp = params.reference(), params.reference_perp()
+    inputs = [_loop_superpose(ref, perp, float(t), zeta) for t in thetas]
+    rows = []
+    for theta, input_magic in zip(thetas, _loop_sweep_robustness(inputs)):
+        output_magic = _loop_wz_output_magic(params, float(theta))
+        rows.append(
+            (theta, input_magic, output_magic, output_magic / input_magic)
+        )
+    return rows
+
+
+def _loop_bh_rows(params, theta, points):
+    zetas = [float(z) for z in
+             np.linspace(0.0, 2.0 * math.pi, points, endpoint=False)]
+    inputs = [_loop_bh_input_state(theta, zeta) for zeta in zetas]
+    rows = []
+    for zeta, input_magic in zip(zetas, _loop_sweep_robustness(inputs)):
+        output_magic = max(1.0, _loop_bh_magic_unclipped(params, theta, zeta))
+        rows.append(
+            (zeta, input_magic, output_magic,
+             _loop_m_ratio(params, theta, zeta))
+        )
+    return rows
+
+
+def _csv(header, rows):
+    lines = [header] + [",".join(f"{v:.17g}" for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def _wz_cases():
+    """(argv, machine, zeta): the T and H references and 50 seeded machines."""
+    cases = [
+        (["--ref", "T"], WZParams(T_POLAR_ANGLE, math.pi / 4.0), 0.0),
+        (["--ref", "H"], WZParams(math.pi / 4.0, 0.0), 0.0),
+    ]
+    rng = np.random.default_rng(19)
+    for _ in range(50):
+        gamma, gamma_p = rng.uniform(0.0, math.pi), rng.uniform(0.0, 2 * math.pi)
+        zeta = rng.uniform(-2 * math.pi, 2 * math.pi)
+        argv = [f"--gamma={gamma!r}", f"--gamma-prime={gamma_p!r}", f"--zeta={zeta!r}"]
+        cases.append((argv, WZParams(gamma, gamma_p), zeta))
+    return cases
+
+
+def _bh_cases():
+    """(argv, machine, theta): 50 seeded machines and the edge values."""
+    cases = [([], BHParams(1.0 / 6.0, eta_schwarz_max(1.0 / 6.0)), T_POLAR_ANGLE)]
+    rng = np.random.default_rng(91)
+    thetas = [0.0, math.pi / 2.0, math.pi]
+    for k in range(50):
+        xi = (0.0, 0.5)[k] if k < 2 else rng.uniform(0.0, 0.5)
+        eta_max = eta_schwarz_max(xi)
+        eta = eta_max if k % 3 == 0 else rng.uniform(0.0, eta_max)
+        theta = thetas[k % 3] if k < 9 else rng.uniform(0.0, math.pi)
+        argv = [f"--xi={xi!r}", f"--theta={theta!r}"]
+        if k % 6 != 0:               # else eta takes its Schwarz default
+            argv.append(f"--eta={eta!r}")
+        cases.append((argv, BHParams(xi, eta), theta))
+    return cases
+
+
+@pytest.mark.parametrize("points", [1, 2, 3, 7, 100, 1000])
+def test_wz_sweep_matches_the_scalar_loop_bit_for_bit(capsys, points):
+    for argv, params, zeta in _wz_cases():
+        assert main(["clone", "wz", *argv, "--sweep-points", str(points)]) == 0
+        out = capsys.readouterr().out
+        expected = _csv("theta,input_magic,output_magic,ratio",
+                        _loop_wz_rows(params, zeta, points))
+        assert out == expected, argv
+
+
+@pytest.mark.parametrize("points", [1, 2, 3, 7, 100, 1000])
+def test_bh_sweep_matches_the_scalar_loop_bit_for_bit(capsys, points):
+    for argv, params, theta in _bh_cases():
+        assert main(["clone", "bh", *argv, "--sweep-points", str(points)]) == 0
+        out = capsys.readouterr().out
+        expected = _csv("zeta,input_magic,output_magic,ratio",
+                        _loop_bh_rows(params, theta, points))
+        assert out == expected, argv
+
+def _loop_bh_low_magic_interval(theta=0.1, xi_max=0.02, zeta_points=720,
+                                xi_points=101):
+    # the scalar double loop the array call replaced, kept verbatim
+    zetas = np.linspace(0.0, 2.0 * math.pi, zeta_points, endpoint=False)
+    xis = np.linspace(0.0, xi_max, xi_points)
+    lo, hi = math.inf, -math.inf
+    for xi in xis:
+        p = BHParams(xi, eta_schwarz_max(xi))
+        for zeta in zetas:
+            value = _loop_m_ratio(p, theta, zeta)
+            lo = min(lo, value)
+            hi = max(hi, value)
+    return lo, hi
+
+
+@pytest.mark.parametrize("kwargs", [
+    {},
+    {"theta": 0.5, "zeta_points": 90, "xi_points": 13},
+    {"theta": 1.3, "xi_max": 0.5, "zeta_points": 60, "xi_points": 11},
+    {"theta": math.pi, "xi_max": 0.25, "zeta_points": 7, "xi_points": 2},
+])
+def test_bh_low_magic_interval_matches_the_loop(kwargs):
+    low, high = bh_low_magic_interval(**kwargs)
+    assert type(low) is float and type(high) is float
+    assert (low, high) == _loop_bh_low_magic_interval(**kwargs)
+
+
+def test_bh_params_check_every_machine_of_a_family():
+    xis = np.array([0.0, 0.1, 0.2])
+    etas = np.array([eta_schwarz_max(x) for x in xis])
+    BHParams(xis, etas)
+    for bad_eta in (etas + [0.0, 0.0, 0.01], etas * [1.0, np.nan, 1.0]):
+        with pytest.raises(InvalidMachineError):
+            BHParams(xis, bad_eta)
+    with pytest.raises(InvalidMachineError):
+        BHParams(np.array([0.1, 0.6]), 0.0)
+
+
+def sweep_lp_gaps(machine_argv) -> tuple:
+    """Largest |reported - LP oracle| of one `clone` sweep's magic columns.
+
+    Input magic is compared with the LP robustness of the input state the
+    package builds for the row (`superpose` / `bh_input_state`), output
+    magic with that of its output clone (`wz_output` / `bh_output`).
+    """
+    argv = ["clone", *machine_argv, "--json"]
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert main(argv) == 0
+    rows = np.array(json.loads(buf.getvalue())["rows"])
+    args = build_parser().parse_args(argv)
+    if args.machine == "wz":
+        p = _wz_params(args)
+        inputs = [superpose(p.reference(), p.reference_perp(), t, args.zeta)
+                  for t in rows[:, 0]]
+        outputs = [wz_output(p, t) for t in rows[:, 0]]
+    else:
+        eta = args.eta if args.eta is not None else eta_schwarz_max(args.xi)
+        p = BHParams(args.xi, eta)
+        inputs = [bh_input_state(args.theta, z) for z in rows[:, 0]]
+        outputs = [bh_output(p, args.theta, z) for z in rows[:, 0]]
+
+    def lp(rhos):
+        return rom_lp_batch(np.array([bloch_from_density(r).as_array()
+                                      for r in rhos]))
+
+    return (float(np.max(np.abs(rows[:, 1] - lp(s.density() for s in inputs)))),
+            float(np.max(np.abs(rows[:, 2] - lp(outputs)))))
+
+
+SWEEP_CASES = (
+    ["wz", "--ref", "T"],
+    ["wz", "--ref", "H", "--zeta", "0.7"],
+    ["wz", "--gamma", "1.1", "--gamma-prime", "2.3", "--zeta", "-0.4"],
+    ["bh"],                 # every machine here makes outputs above R = 1
+    ["bh", "--xi", "0.2", "--theta", "1.0"],
+    ["bh", "--xi", "0.12", "--eta", "0.6", "--theta", "2.0"],
+)
+
+
+@pytest.mark.parametrize("machine_argv", SWEEP_CASES)
+def test_sweep_magic_columns_match_the_lp_oracle(machine_argv):
+    input_gap, output_gap = sweep_lp_gaps(machine_argv)
+    assert input_gap <= 1e-9
+    assert output_gap <= 1e-9

@@ -10,6 +10,7 @@ from magicbroadcast.optimize import (
     BroadcastOutcome,
     OptimizerConfig,
     UnitaryParams15,
+    _objective_batch,
     batch_experiment,
     build_unitary,
     isres_optimize,
@@ -162,3 +163,37 @@ def test_batch_experiment_resume_equivalence():
 def test_batch_experiment_rejects_empty_batch():
     with pytest.raises(InvalidInputError):
         batch_experiment(0, "magic", FAST_CFG)
+
+
+def _analytic_copier(amps) -> np.ndarray:
+    """The chart point of 1 x V with V|0> = |psi>: it maps |psi>|0> to |psi>|psi>."""
+    x = np.zeros(N_PARAMS)
+    x[3] = np.angle(amps[1]) - np.angle(amps[0])        # kappa_2
+    x[4] = 2.0 * math.acos(min(1.0, abs(amps[0])))      # lambda_2
+    return x
+
+
+@pytest.mark.parametrize("objective", ["magic", "state"])
+def test_known_state_copier_is_a_planted_optimum(objective):
+    # a known state can be copied, so both objectives reach 0 at this point
+    worst = max(
+        float(_objective_batch(_analytic_copier(psi.amps)[None], psi.amps,
+                               objective)[0])
+        for psi in (haar_random_pure(2, seed) for seed in range(200))
+    )
+    assert worst <= 1e-12
+
+
+@pytest.mark.parametrize("objective", ["magic", "state"])
+def test_parameter_5_only_adds_a_global_phase(objective):
+    # nu_2 rotates the aux |0> about Z before anything acts on it
+    rng = np.random.default_rng(9)
+    worst = 0.0
+    for _ in range(200):
+        psi = haar_random_pure(2, rng)
+        x = rng.uniform(0.0, 2.0 * math.pi, (2, N_PARAMS))
+        x[1] = x[0]
+        x[1, 5] = rng.uniform(0.0, 2.0 * math.pi)
+        values = _objective_batch(x, psi.amps, objective)
+        worst = max(worst, abs(float(values[0] - values[1])))
+    assert worst <= 1e-12

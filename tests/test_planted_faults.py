@@ -2,7 +2,8 @@
 
 Each test rebinds a shipped function to a small mutant in every package
 module that holds it (the suites call the functions by imported name), runs
-a suite at a small sample count, and requires a FAIL verdict.
+a suite at a small sample count, and requires a FAIL verdict; the last one
+requires the sweep/LP-oracle consistency measure to exceed its tolerance.
 """
 import sys
 
@@ -69,3 +70,19 @@ def test_theorem3_catches_a_sampler_off_the_level(monkeypatch):
     report = run_suite("theorem3", n_samples=200)
     assert not report.passed
     assert report.max_violation > 5e-4
+
+
+def test_sweep_lp_consistency_catches_bh_without_abs_on_sin_zeta(monkeypatch):
+    # not a suite: the LP-oracle consistency test of the `clone bh` sweep
+    from test_cloners import sweep_lp_gaps
+
+    def no_abs(p, theta, zeta):
+        return (1.0 - 2.0 * p.xi) * np.abs(np.cos(theta)) + p.eta * np.abs(
+            np.sin(theta)
+        ) * (np.abs(np.cos(zeta)) + np.sin(zeta))
+
+    assert max(sweep_lp_gaps(["bh"])) <= 1e-9
+    _plant(monkeypatch, cloners.bh_magic_unclipped, no_abs)
+    input_gap, output_gap = sweep_lp_gaps(["bh"])
+    assert input_gap <= 1e-9
+    assert output_gap > 0.1

@@ -5,8 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from magicbroadcast import states
 from magicbroadcast.errors import (
+    InvalidBasisError,
     InvalidDimensionError,
+    InvalidInputError,
     NotAStateError,
 )
 from magicbroadcast.states import (
@@ -21,6 +24,7 @@ from magicbroadcast.states import (
     haar_random_pure,
     partial_trace,
     superpose,
+    superpose_batch,
     t_perp_state,
     t_state,
     tensor,
@@ -177,3 +181,55 @@ def test_density_matrix_rejects_non_finite(x, y, z, i, j, bad):
     mat[i, j] = bad
     with pytest.raises(NotAStateError):
         DensityMatrix(mat)
+
+
+# ---------------------------------------------------------------------------
+# superpose_batch: the array core behind superpose
+# ---------------------------------------------------------------------------
+
+def test_superpose_batch_broadcasts_angle_arrays():
+    thetas = np.linspace(0.0, 2.0 * math.pi, 7)
+    assert superpose_batch(t_state(), t_perp_state(), thetas, 0.3).shape == (7, 2)
+    grid = superpose_batch(
+        t_state(), t_perp_state(), thetas[:, None], np.linspace(0, 1, 5)
+    )
+    assert grid.shape == (7, 5, 2)
+    assert superpose_batch(t_state(), t_perp_state(), 0.1, 0.2).shape == (2,)
+    norms = np.linalg.norm(grid, axis=-1)
+    assert np.all(np.abs(norms - 1.0) < 1e-12)
+
+
+@given(st.lists(angles, min_size=1, max_size=6), st.data(), non_finite,
+       st.booleans())
+def test_superpose_batch_rejects_non_finite_angles(values, data, bad, in_zeta):
+    index = data.draw(st.integers(0, len(values) - 1))
+    angles_in = np.array(values)
+    angles_in[index] = bad
+    thetas, zetas = (0.4, angles_in) if in_zeta else (angles_in, 0.4)
+    with pytest.raises(InvalidInputError):
+        superpose_batch(t_state(), t_perp_state(), thetas, zetas)
+    with pytest.raises(InvalidInputError):
+        superpose(t_state(), t_perp_state(), *(
+            (0.4, bad) if in_zeta else (bad, 0.4)))
+
+
+def test_superpose_batch_checks_the_basis_once():
+    with pytest.raises(InvalidBasisError):
+        superpose_batch(t_state(), h_state(), [0.1, 0.2], 0.0)
+    with pytest.raises(InvalidDimensionError):
+        superpose_batch(t_state(), PureState([0, 0, 1]), [0.1, 0.2], 0.0)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), 0.5, 2.0])
+def test_superpose_batch_rejects_rows_off_the_unit_sphere(monkeypatch, bad):
+    # the norm check is written so that a NaN row fails it
+    core = states._superposition
+
+    def off_sphere(*args):
+        amps = core(*args)
+        amps[-1] *= bad
+        return amps
+
+    monkeypatch.setattr(states, "_superposition", off_sphere)
+    with pytest.raises(NotAStateError):
+        superpose_batch(t_state(), t_perp_state(), [0.1, 0.2, 0.3], 0.0)
