@@ -10,7 +10,6 @@ from .states import (
     bloch_batch,
     bloch_from_density,
     density_from_bloch,
-    fidelity_pure_mixed,
     h_state,
     haar_random_pure,
     partial_trace,
@@ -29,7 +28,6 @@ from .polytope import (
     GeometryCertificate,
     broadcast_geometry_certificate,
     line_polytope_intersections,
-    polytope_membership,
 )
 from .measures import (
     MagicReport,
@@ -66,8 +64,6 @@ from .optimize import (
     batch_experiment,
     build_unitary,
     isres_optimize,
-    objective_magic,
-    objective_state,
 )
 from .checks import VerificationReport, run_suite, suite_names
 

@@ -84,23 +84,6 @@ def random_qubit_bloch(rng, n: int, mixed_fraction: float = 0.5) -> np.ndarray:
     return bloch
 
 
-def sample_bloch_on_level(level: float, rng) -> BlochVector:
-    """Uniform-direction Bloch vector with sum |m_j| equal to `level`.
-
-    Rejection loop without a bound: near level sqrt(3) it rejects nearly
-    every direction, and at sqrt(3) it never returns.  It is kept as it is
-    because `check_geometry` draws from it (its draws and verdicts stay
-    unchanged) and the benchmark's stall replay repeats this loop;
-    `sample_bloch_on_levels` draws the same law directly, with a bound.
-    """
-    while True:
-        w = rng.standard_normal(3)
-        w /= np.linalg.norm(w)
-        m = w * (level / np.abs(w).sum())
-        if m @ m <= 1.0:
-            return BlochVector(*m)
-
-
 # Highest level accepted: the level of a T-direction state can round above
 # sqrt(3) (that of `t_perp_state` by 1 ulp).
 _MAX_LEVEL = _SQRT3 + tol.ROUNDTRIP
@@ -112,18 +95,15 @@ _MAX_ROUNDS = 64
 def sample_bloch_on_levels(levels, rng) -> np.ndarray:
     """Bloch vectors with sum_j |m_j| = levels[i], one row per level: (n, 3).
 
-    Same law as `sample_bloch_on_level` (a uniform direction, scaled onto the
-    level and kept if it lies in the Bloch ball), drawn without rejecting
-    directions.  On the positive-orthant face sum m = L that law has density
+    The law: a uniform direction, scaled onto the level, kept only if it lies
+    inside the Bloch ball; it is drawn here without rejecting directions.
+    On the positive-orthant face sum m = L that law has density
     proportional to |m|^-3, so in polar coordinates (s, phi) about the face
     centre (L/3)(1, 1, 1) the inverse radius 1/|m| is uniform on
     [1/min(1, L), sqrt(3)/L] and phi is uniform.  The disc this covers leaves
     the triangle only for L < sqrt(2), where rows outside it are redrawn;
     each round keeps at least 59 % of them, and `_MAX_ROUNDS` bounds the
     rounds.  Uniform random signs pick the orthant.
-
-    `check_theorem3` draws here; `check_geometry` stays on the scalar
-    `sample_bloch_on_level`, whose stream its verdicts depend on.
     """
     levels = np.asarray(levels, dtype=float)
     if levels.ndim != 1:
@@ -300,11 +280,12 @@ def check_geometry(
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     resolution = 2.0 / (scan_points - 1)
+    levels = rng.uniform(1.05, _SQRT3, n_samples)
+    targets = rng.uniform(1.0, levels)
+    endpoints = sample_bloch_on_levels(np.repeat(levels, 4), rng).reshape(-1, 4, 3)
     worst = 0.0
-    for _ in range(n_samples):
-        level = rng.uniform(1.05, math.sqrt(3.0))
-        points = [sample_bloch_on_level(level, rng) for _ in range(4)]
-        r = rng.uniform(1.0, level)
+    for ends, r in zip(endpoints, targets):
+        points = [BlochVector(*m) for m in ends]
         cert = broadcast_geometry_certificate(*points, r)
 
         sys_scan = scan_polytope_crossings(points[0], points[1], r, scan_points)

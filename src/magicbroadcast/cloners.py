@@ -145,9 +145,7 @@ class BHParams:
     def __post_init__(self):
         # arrays of xi and eta describe a family of machines, each one checked
         for xi, eta in np.broadcast(self.xi, self.eta):
-            if not 0.0 <= xi <= 0.5:
-                raise InvalidMachineError(f"xi must lie in [0, 1/2], got {xi}")
-            bound = eta_schwarz_max(xi)
+            bound = eta_schwarz_max(xi)     # raises on xi outside [0, 1/2]
             if not 0.0 <= eta <= bound + 1e-12:
                 raise InvalidMachineError(
                     f"eta = {eta} outside [0, {bound}] for xi = {xi}"
@@ -156,7 +154,9 @@ class BHParams:
 
 def eta_schwarz_max(xi: float) -> float:
     """Largest machine overlap allowed at a given xi: 2 sqrt(xi) sqrt(1-2xi)."""
-    return 2.0 * math.sqrt(xi) * math.sqrt(max(0.0, 1.0 - 2.0 * xi))
+    if not 0.0 <= xi <= 0.5:            # also rejects NaN
+        raise InvalidMachineError(f"xi must lie in [0, 1/2], got {xi}")
+    return 2.0 * math.sqrt(xi) * math.sqrt(1.0 - 2.0 * xi)
 
 
 def bh_input_amps(theta, zeta) -> np.ndarray:

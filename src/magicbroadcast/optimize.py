@@ -117,20 +117,6 @@ def build_unitary(p: UnitaryParams15) -> np.ndarray:
     )
 
 
-def objective_magic(p: UnitaryParams15, psi: PureState) -> float:
-    """Worst-subsystem deviation of output magic from the input magic."""
-    return float(
-        _objective_batch(p.to_vector()[None, :], psi.amps, "magic")[0]
-    )
-
-
-def objective_state(p: UnitaryParams15, psi: PureState) -> float:
-    """Worst-subsystem fidelity shortfall 1 - <psi|rho|psi>."""
-    return float(
-        _objective_batch(p.to_vector()[None, :], psi.amps, "state")[0]
-    )
-
-
 def _objective_batch(params, psi_amps, objective: str) -> np.ndarray:
     rho_sys, rho_aux = _evolved_batch(params, psi_amps)
     if objective == "magic":

@@ -44,15 +44,6 @@ def _check_level(r: float):
         raise InvalidLevelError(f"level must be >= 1, got {r}")
 
 
-def polytope_membership(b: BlochVector, r: float) -> str:
-    """Classify a Bloch vector as 'inside', 'on-surface', or 'outside'."""
-    _check_level(r)
-    gap = b.abs_sum() - r
-    if abs(gap) <= tol.SURFACE:
-        return "on-surface"
-    return "inside" if gap < 0 else "outside"
-
-
 def line_polytope_intersections(
     b0: BlochVector, b1: BlochVector, r: float
 ) -> list:

@@ -254,11 +254,3 @@ def apply_unitary(unitary: np.ndarray, state):
             raise InvalidDimensionError("unitary/state dimension mismatch")
         return DensityMatrix(unitary @ state.mat @ unitary.conj().T)
     raise InvalidDimensionError("state must be a PureState or DensityMatrix")
-
-
-def fidelity_pure_mixed(psi: PureState, rho: DensityMatrix) -> float:
-    """<psi| rho |psi>, clipped to [0, 1] against round-off."""
-    if psi.dim != rho.dim:
-        raise InvalidDimensionError("state dimensions differ")
-    value = float(np.vdot(psi.amps, rho.mat @ psi.amps).real)
-    return min(1.0, max(0.0, value))

@@ -23,7 +23,6 @@ SRE_ZERO = 1e-10            # stabilizer states must score zero
 MONOTONICITY = 1e-9         # partial-trace monotonicity slack
 
 # Geometry
-SURFACE = 1e-9              # on-surface classification of the polytope
 INTERSECTION = 1e-10        # residual of exact line-polytope roots
 COMMON_T = 1e-8             # equal-ratio matching of intersection parameters
 LEVEL_MATCH = 1e-8          # endpoints on a common reference level

@@ -91,7 +91,8 @@ def test_batched_convexity_matches_the_per_sample_loop(seed):
 # ---------------------------------------------------------------------------
 
 def _loop_sampler(level: float, rng) -> BlochVector:
-    """The rejection loop of `sample_bloch_on_level`, kept verbatim."""
+    """Reference law by rejection: a uniform direction, scaled onto the level,
+    redrawn until it lies inside the Bloch ball.  No bound on the draws."""
     while True:
         w = rng.standard_normal(3)
         w /= np.linalg.norm(w)

@@ -286,6 +286,15 @@ def test_clone_non_finite_machine_flag_is_usage_error(capsys, machine, flag, val
     assert f"{flag} must be finite" in err and value in err
 
 
+@pytest.mark.parametrize("eta", [[], ["--eta", "0"]])
+@pytest.mark.parametrize("xi", ["-0.1", "0.6"])
+def test_clone_bh_xi_out_of_range_is_usage_error(capsys, xi, eta):
+    code, out, err = run(capsys, "clone", "bh", f"--xi={xi}", *eta)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: xi must lie in [0, 1/2], got {float(xi)}\n"
+
+
 def test_python_dash_m_runs_the_cli():
     src = str(Path(magicbroadcast.__file__).resolve().parent.parent)
     env = dict(os.environ)

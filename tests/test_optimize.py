@@ -14,8 +14,6 @@ from magicbroadcast.optimize import (
     batch_experiment,
     build_unitary,
     isres_optimize,
-    objective_magic,
-    objective_state,
     outcome_from_json,
 )
 from magicbroadcast.states import (
@@ -67,11 +65,14 @@ def test_objectives_at_identity():
     psi = haar_random_pure(2, 3)
     identity = UnitaryParams15.from_vector(np.zeros(N_PARAMS))
     # aux output is |0><0|: magic objective equals R(psi) - 1
+    row = identity.to_vector()[None, :]
     expected = rom_qubit(psi.density()) - 1.0
-    assert objective_magic(identity, psi) == pytest.approx(expected, abs=1e-10)
+    (magic,) = _objective_batch(row, psi.amps, "magic")
+    assert magic == pytest.approx(expected, abs=1e-10)
     # state objective is dominated by the aux-side infidelity 1 - |<psi|0>|^2
     shortfall = 1.0 - abs(psi.amps[0]) ** 2
-    assert objective_state(identity, psi) == pytest.approx(shortfall, abs=1e-10)
+    (state,) = _objective_batch(row, psi.amps, "state")
+    assert state == pytest.approx(shortfall, abs=1e-10)
 
 
 def test_outcome_reduced_states_match_unitary_action():

@@ -32,6 +32,17 @@ def test_lemma1_catches_rom_without_its_clip(monkeypatch):
     assert report.max_violation > 0.1
 
 
+def test_lemma1_catches_rom_as_sqrt3_times_the_bloch_length(monkeypatch):
+    def euclidean(bloch):
+        return np.maximum(1.0, np.sqrt(3.0) * np.linalg.norm(bloch, axis=-1))
+
+    assert run_suite("lemma1", n_samples=200).passed
+    _plant(monkeypatch, measures.rom_batch, euclidean)
+    report = run_suite("lemma1", n_samples=200)
+    assert not report.passed
+    assert report.max_violation > 0.1
+
+
 def test_geometry_catches_shifted_exact_roots(monkeypatch):
     original = polytope.line_polytope_intersections
 

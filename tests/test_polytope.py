@@ -9,24 +9,12 @@ from magicbroadcast.errors import InconsistentReferenceError, InvalidLevelError
 from magicbroadcast.polytope import (
     broadcast_geometry_certificate,
     line_polytope_intersections,
-    polytope_membership,
     scan_polytope_crossings,
 )
 from magicbroadcast.states import BlochVector
 
 S3 = 1.0 / math.sqrt(3.0)
 SQRT3 = math.sqrt(3.0)
-
-
-def test_membership_classification():
-    assert polytope_membership(BlochVector(0.1, 0.1, 0.1), 1.0) == "inside"
-    assert polytope_membership(BlochVector(0.5, 0.5, 0.0), 1.0) == "on-surface"
-    assert polytope_membership(BlochVector(S3, S3, S3), 1.0) == "outside"
-
-
-def test_membership_rejects_sub_unit_level():
-    with pytest.raises(InvalidLevelError):
-        polytope_membership(BlochVector(0.0, 0.0, 0.0), 0.5)
 
 
 def test_radial_line_crossing():
@@ -148,6 +136,21 @@ def test_scan_is_bit_identical_to_the_cell_loop():
     assert touched and ended    # the tangent rule and the end point both fired
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 6: the scan's touch rule counts rounding noise on a "
+    "flat piece within r*h above the level as touches",
+)
+def test_scan_reports_no_touch_on_a_flat_piece_above_the_level():
+    # both endpoints lie in one orthant at level 1.3633450245493437, so the
+    # level function is constant at +5.8e-5 along the segment: no crossing
+    a0 = BlochVector(0.8017372734389248, -0.3480304252788534, 0.21357732583156538)
+    a1 = BlochVector(0.08807472327570938, -0.5574887476498271, 0.7177815536238071)
+    r = 1.3632865557384721
+    assert line_polytope_intersections(a0, a1, r) == []
+    assert scan_polytope_crossings(a0, a1, r, 10_000) == []
+
+
 ball_coord = st.one_of(
     st.sampled_from([0.0, 0.5, -0.5, S3, -S3, 1.0, -1.0]),
     st.floats(-0.58, 0.58),
@@ -221,8 +224,6 @@ def test_certificate_json_schema():
 @given(st.one_of(st.just(math.nan), st.floats(max_value=1.0, exclude_max=True)))
 def test_every_level_check_rejects_nan_and_sub_unit_levels(r):
     a, b = BlochVector(S3, S3, S3), BlochVector(-S3, -S3, -S3)
-    with pytest.raises(InvalidLevelError):
-        polytope_membership(a, r)
     with pytest.raises(InvalidLevelError):
         line_polytope_intersections(a, b, r)
     with pytest.raises(InvalidLevelError):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from magicbroadcast import states
@@ -19,7 +19,6 @@ from magicbroadcast.states import (
     apply_unitary,
     bloch_from_density,
     density_from_bloch,
-    fidelity_pure_mixed,
     h_state,
     haar_random_pure,
     partial_trace,
@@ -138,17 +137,6 @@ def test_apply_unitary_on_pure_and_mixed():
     assert np.allclose(plus.amps, [1 / math.sqrt(2), 1 / math.sqrt(2)])
     rho = apply_unitary(had, DensityMatrix(np.eye(2) / 2.0))
     assert np.allclose(rho.mat, np.eye(2) / 2.0, atol=1e-12)
-
-
-@settings(max_examples=50)
-@given(st.integers(0, 2**32 - 1))
-def test_fidelity_bounds_and_self_fidelity(seed):
-    rng = np.random.default_rng(seed)
-    psi = haar_random_pure(2, rng)
-    phi = haar_random_pure(2, rng)
-    f = fidelity_pure_mixed(psi, phi.density())
-    assert 0.0 <= f <= 1.0
-    assert fidelity_pure_mixed(psi, psi.density()) == pytest.approx(1.0)
 
 
 # ---------------------------------------------------------------------------
