@@ -20,7 +20,6 @@ from .states import (
     tensor,
 )
 from .stabilizers import (
-    StabilizerSet,
     clifford_group_1q,
     stabilizer_states,
 )

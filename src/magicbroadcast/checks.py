@@ -15,15 +15,15 @@ import numpy as np
 from . import tolerances as tol
 from .cloners import theorem2_falsify, unrestricted_broadcast_batch
 from .errors import InvalidInputError, MagicBroadcastError
-from .measures import rom_batch, rom_lp_batch, rom_qubit, sre2_pure
+from .measures import rom_batch, rom_lp_batch, rom_qubit
+from .measures import sre2_extended_batch, sre2_pure, sre2_pure_batch
 from .polytope import (
     broadcast_geometry_certificate,
     scan_polytope_crossings,
 )
-from .stabilizers import clifford_group_1q, pauli_matrices
+from .stabilizers import clifford_group_1q
 from .states import BlochVector, apply_unitary, haar_random_pure, tensor
 
-_LOG2 = math.log(2.0)
 _SQRT3 = math.sqrt(3.0)
 
 
@@ -211,13 +211,10 @@ def check_monotonicity(
     )
     z /= np.linalg.norm(z, axis=1, keepdims=True)
 
-    exp2 = np.einsum("pij,ni,nj->np", pauli_matrices(2), z.conj(), z).real
-    joint = -np.log((exp2 ** 4).sum(axis=1) / 4.0) / _LOG2
-
+    joint = sre2_pure_batch(z, 2)
     blocks = z.reshape(n_samples, 2, 2)
     reduced = np.einsum("nij,nkj->nik", blocks, blocks.conj())
-    traces = np.einsum("pij,nji->np", pauli_matrices(1), reduced).real
-    ext = -np.log((traces ** 4).sum(axis=1) / (traces ** 2).sum(axis=1)) / _LOG2
+    ext = sre2_extended_batch(reduced, 1)
 
     violation = np.max(np.maximum(0.0, ext - joint))
     return _report("monotone", n_samples, violation, tol.MONOTONICITY, seed, t0)

@@ -1,6 +1,10 @@
 """Magic quantifiers: the witness D, robustness of magic (closed form and an
 independent LP oracle), stabilizer Renyi entropy of order 2 (pure and
 extended), and the magic-generating power of two-qubit unitaries.
+
+Each formula has one batched core (`rom_batch`; the SRE2 reducer `_m2` behind
+`sre2_pure_batch` and `sre2_extended_batch`); `rom_qubit`, `sre2_pure` and
+`sre2_extended` are thin wrappers over it.
 """
 from __future__ import annotations
 
@@ -19,7 +23,6 @@ from .states import (
     PureState,
     bloch_batch,
     bloch_from_density,
-    partial_trace,
 )
 
 _LOG2 = math.log(2.0)
@@ -51,11 +54,15 @@ def _check_qubits(dim: int, n: int):
         raise InvalidDimensionError(f"dim {dim} does not match {n} qubit(s)")
 
 
+def _pauli_traces(rho: np.ndarray, n: int) -> np.ndarray:
+    """Tr(P rho) for all 4^n Pauli strings P, over densities (..., 2^n, 2^n)."""
+    return np.einsum("pij,...ji->...p", pauli_matrices(n), rho).real
+
+
 def witness_d(rho: DensityMatrix, n: int) -> float:
     """D = 2^{-n} sum_P |Tr(P rho)| over the full Pauli group."""
     _check_qubits(rho.dim, n)
-    traces = np.einsum("pij,ji->p", pauli_matrices(n), rho.mat).real
-    return float(np.abs(traces).sum() / 2 ** n)
+    return float(np.abs(_pauli_traces(rho.mat, n)).sum() / 2 ** n)
 
 
 def rom_batch(bloch: np.ndarray) -> np.ndarray:
@@ -138,38 +145,42 @@ def rom_lp_oracle(rho: DensityMatrix) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Stabilizer Renyi entropy of order 2
+# Stabilizer Renyi entropy of order 2 (Leone, Oliviero & Hamma, PRL 2022)
 # ---------------------------------------------------------------------------
 
-def sre2_pure(psi: PureState, n: int) -> float:
-    """M2 = -log2[ sum_P <psi|P|psi>^4 / 2^n ] for a pure n-qubit state."""
-    _check_qubits(psi.dim, n)
-    amps = psi.amps
-    expectations = np.einsum(
-        "pij,i,j->p", pauli_matrices(n), amps.conj(), amps
-    ).real
-    collision = float((expectations ** 4).sum() / 2 ** n)
-    return max(0.0, -math.log(collision) / _LOG2)
+def _m2(x: np.ndarray, norm) -> np.ndarray:
+    """-log2[ sum x^4 / norm ] over the trailing axis, floored at +0.0."""
+    # np.maximum returns its second argument on a tie, so +0.0 goes second
+    return np.maximum(-np.log((x ** 4).sum(axis=-1) / norm) / _LOG2, 0.0)
 
 
 def sre2_pure_batch(amps: np.ndarray, n: int) -> np.ndarray:
-    """`sre2_pure` over rows of a (N, 2^n) amplitude array."""
+    """M2 = -log2[ sum_P <psi|P|psi>^4 / 2^n ] over amplitudes (..., 2^n)."""
     expectations = np.einsum(
-        "pij,ni,nj->np", pauli_matrices(n), amps.conj(), amps
+        "pij,...i,...j->...p", pauli_matrices(n), amps.conj(), amps
     ).real
-    collision = (expectations ** 4).sum(axis=1) / 2 ** n
-    return np.maximum(0.0, -np.log(collision) / _LOG2)
+    return _m2(expectations, 2 ** n)
+
+
+def sre2_extended_batch(rho: np.ndarray, n: int) -> np.ndarray:
+    """-log2[ sum Tr(P rho)^4 / sum Tr(P rho)^2 ] over densities (..., d, d).
+
+    This purity-normalized extension coincides with M2 on pure states.
+    """
+    traces = _pauli_traces(rho, n)
+    return _m2(traces, (traces ** 2).sum(axis=-1))
+
+
+def sre2_pure(psi: PureState, n: int) -> float:
+    """`sre2_pure_batch` of one pure n-qubit state."""
+    _check_qubits(psi.dim, n)
+    return float(sre2_pure_batch(psi.amps, n))
 
 
 def sre2_extended(rho: DensityMatrix, n: int) -> float:
-    """Purity-normalized extension: -log2[ sum Tr(P rho)^4 / sum Tr(P rho)^2 ].
-
-    Coincides with `sre2_pure` on pure states.
-    """
+    """`sre2_extended_batch` of one n-qubit density matrix."""
     _check_qubits(rho.dim, n)
-    traces = np.einsum("pij,ji->p", pauli_matrices(n), rho.mat).real
-    ratio = float((traces ** 4).sum() / (traces ** 2).sum())
-    return max(0.0, -math.log(ratio) / _LOG2)
+    return float(sre2_extended_batch(rho.mat, n))
 
 
 def magic_power(unitary: np.ndarray) -> float:
@@ -177,10 +188,12 @@ def magic_power(unitary: np.ndarray) -> float:
     unitary = np.asarray(unitary, dtype=complex)
     if unitary.shape != (4, 4):
         raise InvalidUnitaryError(f"expected a 4x4 matrix, got {unitary.shape}")
-    if np.max(np.abs(unitary.conj().T @ unitary - np.eye(4))) > tol.UNITARITY:
+    if not np.isfinite(unitary).all():     # before inf - inf makes a NaN
+        raise InvalidUnitaryError("matrix has non-finite entries")
+    defect = np.max(np.abs(unitary.conj().T @ unitary - np.eye(4)))
+    if not defect <= tol.UNITARITY:        # also rejects NaN from overflow
         raise InvalidUnitaryError("matrix is not unitary")
-    inputs = stabilizer_states(2).amplitudes()
-    images = inputs @ unitary.T
+    images = stabilizer_states(2) @ unitary.T
     return float(sre2_pure_batch(images, 2).mean())
 
 
@@ -202,12 +215,3 @@ def magic_report(state) -> MagicReport:
         extended_sre2=sre2_extended(rho, n),
     )
 
-
-def sre2_monotone_gap(psi2: PureState) -> float:
-    """M2hat(reduced) - M2(joint) for a two-qubit pure state.
-
-    Non-positive (up to numerics) by partial-trace monotonicity.
-    """
-    joint = sre2_pure(psi2, 2)
-    reduced = partial_trace(psi2.density(), 0)
-    return sre2_extended(reduced, 1) - joint

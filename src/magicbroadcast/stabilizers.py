@@ -8,12 +8,11 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import UnsupportedError
-from .states import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z, PureState
+from .states import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z
 
 _PAULI_1Q = (IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z)
 
@@ -22,18 +21,6 @@ PHASE_S = np.array([[1, 0], [0, 1j]], dtype=complex)
 CNOT = np.array(
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
 )
-
-
-@dataclass(frozen=True, eq=False)
-class StabilizerSet:
-    """Pure stabilizer states of an n-qubit system."""
-
-    n: int
-    states: tuple
-
-    def amplitudes(self) -> np.ndarray:
-        """All states stacked as a (count, 2^n) array."""
-        return np.array([s.amps for s in self.states])
 
 
 def _check_n(n: int):
@@ -105,8 +92,9 @@ def clifford_group_1q() -> tuple:
 
 
 @functools.lru_cache(maxsize=None)
-def stabilizer_states(n: int) -> StabilizerSet:
-    """The pure stabilizer states: 6 for one qubit, 60 for two.
+def stabilizer_states(n: int) -> np.ndarray:
+    """The pure stabilizer states, a read-only (count, 2^n) amplitude array:
+    6 states for one qubit, 60 for two.
 
     Generated as the orbit of |0...0> under the Clifford generators,
     deduplicated up to global phase.
@@ -124,5 +112,6 @@ def stabilizer_states(n: int) -> StabilizerSet:
         )
     start = np.zeros(2 ** n, dtype=complex)
     start[0] = 1.0
-    states = tuple(PureState(v) for v in _orbit(generators, start))
-    return StabilizerSet(n, states)
+    table = np.array(_orbit(generators, start))
+    table.setflags(write=False)
+    return table

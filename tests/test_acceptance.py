@@ -66,9 +66,7 @@ def test_criterion_02_named_state_magic():
         WZParams(T_POLAR_ANGLE, math.pi / 4.0).reference().density()
     )
     r_h = rom_qubit(h_state().density())
-    r_stab = max(
-        rom_qubit_amp(a) for a in stabilizer_states(1).amplitudes()
-    )
+    r_stab = max(rom_qubit_amp(a) for a in stabilizer_states(1))
     ok = (
         abs(r_t - math.sqrt(3.0)) <= 1e-12
         and abs(r_h - math.sqrt(2.0)) <= 1e-12
@@ -215,7 +213,7 @@ def test_criterion_09_geometry_certificate_vs_dense_scan():
 def test_criterion_10_faithfulness_and_clifford_magic_power():
     worst_sre = 0.0
     for n in (1, 2):
-        vals = sre2_pure_batch(stabilizer_states(n).amplitudes(), n)
+        vals = sre2_pure_batch(stabilizer_states(n), n)
         worst_sre = max(worst_sre, float(np.max(np.abs(vals))))
 
     rng = np.random.default_rng(0)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from magicbroadcast.measures import (
     rom_lp_oracle,
     rom_qubit,
     sre2_extended,
-    sre2_monotone_gap,
+    sre2_extended_batch,
     sre2_pure,
     sre2_pure_batch,
     witness_d,
@@ -32,6 +33,7 @@ from magicbroadcast.states import (
     density_from_bloch,
     h_state,
     haar_random_pure,
+    partial_trace,
     t_state,
     tensor,
 )
@@ -95,10 +97,49 @@ def test_sre2_extended_coincides_with_pure_value():
 
 def test_sre2_batch_matches_scalar():
     rng = np.random.default_rng(3)
-    amps = np.array([haar_random_pure(4, rng).amps for _ in range(20)])
-    batch = sre2_pure_batch(amps, 2)
-    for row, val in zip(amps, batch):
-        assert sre2_pure(PureState(row), 2) == pytest.approx(val, abs=1e-12)
+    states = [haar_random_pure(4, rng) for _ in range(20)]
+    amps = np.array([psi.amps for psi in states])
+    assert [sre2_pure(psi, 2) for psi in states] == list(sre2_pure_batch(amps, 2))
+    pure = [psi.density() for psi in states]
+    reduced = [partial_trace(rho, 0) for rho in pure]
+    for rhos, n in ((pure, 2), (reduced, 1)):
+        batch = sre2_extended_batch(np.array([rho.mat for rho in rhos]), n)
+        assert [sre2_extended(rho, n) for rho in rhos] == list(batch)
+
+
+_ORACLE_PAULIS = (
+    np.eye(2),
+    np.array([[0, 1], [1, 0]]),
+    np.array([[0, -1j], [1j, 0]]),
+    np.array([[1, 0], [0, -1]]),
+)
+
+
+def _kron_pauli_traces(rho, n):
+    """Tr(P rho) over Pauli strings built with np.kron from hand-written
+    2x2 matrices, independent of `stabilizers.pauli_matrices`."""
+    strings = [np.eye(1)]
+    for _ in range(n):
+        strings = [np.kron(s, p) for s in strings for p in _ORACLE_PAULIS]
+    return np.array([np.trace(s @ rho).real for s in strings])
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_sre2_batches_match_a_kron_built_oracle(n):
+    rng = np.random.default_rng(6)
+    amps = np.array([haar_random_pure(2 ** n, rng).amps for _ in range(8)])
+    pure = np.einsum("ki,kj->kij", amps, amps.conj())
+    mixed = np.einsum("mk,kij->mij", rng.dirichlet(np.ones(8), size=8), pure)
+    t_pure = [_kron_pauli_traces(rho, n) for rho in pure]
+    t_mixed = [_kron_pauli_traces(rho, n) for rho in mixed]
+    want_pure = [-math.log2((t ** 4).sum() / 2 ** n) for t in t_pure]
+    want_mixed = [-math.log2((t ** 4).sum() / (t ** 2).sum()) for t in t_mixed]
+    for got, want in (
+        (sre2_pure_batch(amps, n), want_pure),
+        (sre2_extended_batch(pure, n), want_pure),
+        (sre2_extended_batch(mixed, n), want_mixed),
+    ):
+        assert np.allclose(got, want, rtol=0, atol=1e-12)
 
 
 def test_sre2_additivity_spot_check():
@@ -131,6 +172,18 @@ def test_magic_power_rejects_non_unitary():
         magic_power(np.eye(2))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_magic_power_rejects_non_finite_entries(bad):
+    unitary = np.eye(4, dtype=complex)
+    unitary[1, 2] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidUnitaryError):
+            magic_power(unitary)
+        with pytest.raises(InvalidUnitaryError):
+            magic_power(np.full((4, 4), bad))
+
+
 def test_magic_report_fields_and_json():
     report = magic_report(t_state())
     assert report.n == 1
@@ -154,13 +207,15 @@ def test_magic_report_mixed_two_qubit_state():
 @given(st.integers(0, 2**32 - 1))
 def test_monotone_gap_never_positive(seed):
     psi = haar_random_pure(4, seed)
-    assert sre2_monotone_gap(psi) <= 1e-9
+    reduced = partial_trace(psi.density(), 0)
+    assert sre2_extended(reduced, 1) - sre2_pure(psi, 2) <= 1e-9
 
 
 def test_stabilizer_states_have_zero_sre2():
     for n in (1, 2):
-        vals = sre2_pure_batch(stabilizer_states(n).amplitudes(), n)
+        vals = sre2_pure_batch(stabilizer_states(n), n)
         assert np.max(np.abs(vals)) <= 1e-12
+        assert all(math.copysign(1.0, v) > 0 for v in vals)
 
 
 def test_rom_from_bloch_floors_at_one():

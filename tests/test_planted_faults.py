@@ -83,6 +83,19 @@ def test_theorem3_catches_a_sampler_off_the_level(monkeypatch):
     assert report.max_violation > 5e-4
 
 
+def test_monotone_catches_sre2_extended_without_purity_normalisation(
+    monkeypatch,
+):
+    def unnormalised(rho, n):
+        return measures._m2(measures._pauli_traces(rho, n), 2 ** n)
+
+    assert run_suite("monotone", n_samples=200).passed
+    _plant(monkeypatch, measures.sre2_extended_batch, unnormalised)
+    report = run_suite("monotone", n_samples=200)
+    assert not report.passed
+    assert report.max_violation > 0.1
+
+
 def test_sweep_lp_consistency_catches_bh_without_abs_on_sin_zeta(monkeypatch):
     # not a suite: the LP-oracle consistency test of the `clone bh` sweep
     from test_cloners import sweep_lp_gaps

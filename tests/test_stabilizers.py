@@ -53,14 +53,14 @@ def test_clifford_group_permutes_pauli_axes():
 
 
 def test_stabilizer_state_counts():
-    assert len(stabilizer_states(1).states) == 6
-    assert len(stabilizer_states(2).states) == 60
-    assert stabilizer_states(2).amplitudes().shape == (60, 4)
+    assert stabilizer_states(1).shape == (6, 2)
+    assert stabilizer_states(2).shape == (60, 4)
+    assert not stabilizer_states(2).flags.writeable
 
 
 def test_one_qubit_stabilizer_states_are_pauli_eigenstates():
     axes = []
-    for amps in stabilizer_states(1).amplitudes():
+    for amps in stabilizer_states(1):
         rho = np.outer(amps, amps.conj())
         bloch = np.einsum("kij,ji->k", pauli_matrices(1)[1:], rho).real
         axes.append(tuple(np.round(bloch, 9)))
@@ -70,7 +70,7 @@ def test_one_qubit_stabilizer_states_are_pauli_eigenstates():
 
 
 def test_stabilizer_amplitudes_are_normalized():
-    norms = np.linalg.norm(stabilizer_states(2).amplitudes(), axis=1)
+    norms = np.linalg.norm(stabilizer_states(2), axis=1)
     assert np.allclose(norms, 1.0, atol=1e-12)
 
 
