@@ -50,9 +50,7 @@ from .cloners import (
     maximal_magic_spec,
     superposition_magic,
     theorem2_falsify,
-    unrestricted_broadcast,
     unrestricted_broadcast_batch,
-    wz_broadcast_check,
     wz_output,
     wz_output_magic,
 )

@@ -17,12 +17,11 @@ from . import tolerances as tol
 from .errors import InvalidInputError, InvalidMachineError, InvalidSpecError
 from .measures import rom_batch, rom_qubit
 from .states import (
-    BlochVector,
     DensityMatrix,
     PureState,
     bloch_batch,
-    density_from_bloch,
-    superpose,
+    check_finite_angles,
+    superpose_batch,
     t_perp_state,
     t_state,
 )
@@ -94,23 +93,6 @@ def wz_output_magic_unclipped(p: WZParams, theta):
 def wz_output_magic(p: WZParams, theta):
     """Robustness of either clone, clipped at the stabilizer floor."""
     return np.maximum(1.0, wz_output_magic_unclipped(p, theta))
-
-
-def wz_broadcast_check(p: WZParams, theta: float, zeta: float) -> WZCheck:
-    """Perfect-broadcast test for the machine input at (theta, zeta).
-
-    The input state is cos(theta/2)|psi> + e^{i zeta} sin(theta/2)|perp>;
-    its magic must equal |cos theta| times the reference magic.
-    """
-    state = superpose(p.reference(), p.reference_perp(), theta, zeta)
-    input_magic = rom_qubit(state.density())
-    output_magic = float(wz_output_magic_unclipped(p, theta))
-    return WZCheck(
-        perfect=abs(input_magic - output_magic) <= tol.BROADCAST_EQUALITY,
-        input_magic=input_magic,
-        output_magic=output_magic,
-        theta=theta,
-    )
 
 
 def wz_state_check(p: WZParams, state: PureState) -> WZCheck:
@@ -289,19 +271,6 @@ def unrestricted_broadcast_batch(alpha, beta, sys_bloch, aux_bloch) -> tuple:
     )
 
 
-def unrestricted_broadcast(
-    spec: BroadcasterSpec, alpha: complex, beta: complex
-) -> tuple:
-    """Reduced outputs (sys, aux) for the input alpha |psi> + beta |psi_perp>.
-
-    One row of `unrestricted_broadcast_batch`, as density matrices.
-    """
-    refs = bloch_batch(np.array([[rho.mat for rho in spec.sys_out],
-                                 [rho.mat for rho in spec.aux_out]]))
-    outputs = unrestricted_broadcast_batch(alpha, beta, refs[0], refs[1])
-    return tuple(density_from_bloch(BlochVector(*m)) for m in outputs)
-
-
 def maximal_magic_spec() -> BroadcasterSpec:
     """Broadcaster designed for the T-state pair with product outputs."""
     psi, perp = t_state(), t_perp_state()
@@ -312,19 +281,24 @@ def maximal_magic_spec() -> BroadcasterSpec:
     )
 
 
-def superposition_bloch(theta: float, zeta: float) -> BlochVector:
-    """Closed-form Bloch vector of cos(t/2)|T> + e^{i z} sin(t/2)|Tperp>."""
-    ct, st = math.cos(theta), math.sin(theta)
-    cz, sz = math.cos(zeta), math.sin(zeta)
+def superposition_bloch(theta, zeta) -> np.ndarray:
+    """Closed-form Bloch vectors of cos(t/2)|T> + e^{i z} sin(t/2)|Tperp>.
+
+    `theta` and `zeta` broadcast against each other; the result has their
+    shape plus a trailing axis of 3.
+    """
+    check_finite_angles(theta, zeta)
+    ct, st = np.cos(theta), np.sin(theta)
+    cz, sz = np.cos(zeta), np.sin(zeta)
     m1 = ct / _SQRT3 - st * cz / math.sqrt(6.0) + st * sz / math.sqrt(2.0)
     m2 = ct / _SQRT3 - st * cz / math.sqrt(6.0) - st * sz / math.sqrt(2.0)
     m3 = (ct + math.sqrt(2.0) * st * cz) / _SQRT3
-    return BlochVector(m1, m2, m3)
+    return np.stack([m1, m2, m3], axis=-1)
 
 
-def superposition_magic(theta: float, zeta: float) -> float:
-    """Closed-form robustness of the T-basis superposition state."""
-    return float(rom_batch(superposition_bloch(theta, zeta).as_array()))
+def superposition_magic(theta, zeta):
+    """Closed-form robustness of the T-basis superposition state (broadcasts)."""
+    return rom_batch(superposition_bloch(theta, zeta))
 
 
 @dataclass(frozen=True)
@@ -343,32 +317,33 @@ def theorem2_falsify(theta: float, zeta_grid) -> Theorem2Report:
     """Show the maximal-magic broadcaster fails on generic superpositions.
 
     The input magic varies with zeta while the broadcast output magic does
-    not; the report carries the largest gap across the grid.
+    not; the report carries the largest gap across the grid (the first
+    zeta attaining it).  The closed-form input magic is checked against the
+    robustness of the `superpose_batch` amplitudes, all in one array pass.
     """
-    spec = maximal_magic_spec()
-    max_gap, worst_zeta = -1.0, float("nan")
-    closed_err = 0.0
-    outputs = []
-    for zeta in zeta_grid:
-        alpha = math.cos(theta / 2.0)
-        beta = np.exp(1j * zeta) * math.sin(theta / 2.0)
-        _, aux = unrestricted_broadcast(spec, alpha, beta)
-        out_magic = rom_qubit(aux)
-        outputs.append(out_magic)
-        closed = superposition_magic(theta, zeta)
-        direct = rom_qubit(
-            superpose(spec.ref_in[0], spec.ref_in[1], theta, zeta).density()
+    zetas = np.asarray(zeta_grid, dtype=float)
+    if zetas.ndim != 1 or zetas.size == 0:
+        raise InvalidInputError(
+            f"zeta grid must be a non-empty 1-D array, got shape {zetas.shape}"
         )
-        closed_err = max(closed_err, abs(closed - direct))
-        gap = abs(closed - out_magic)
-        if gap > max_gap:
-            max_gap, worst_zeta = gap, zeta
-    outputs = np.array(outputs)
+    spec = maximal_magic_spec()
+    amps = superpose_batch(*spec.ref_in, theta, zetas)
+    direct = rom_batch(bloch_batch(amps[:, :, None] * amps[:, None, :].conj()))
+    closed = superposition_magic(theta, zetas)
+    refs = bloch_batch(np.array([[rho.mat for rho in spec.sys_out],
+                                 [rho.mat for rho in spec.aux_out]]))
+    _, aux = unrestricted_broadcast_batch(
+        math.cos(theta / 2.0), np.exp(1j * zetas) * math.sin(theta / 2.0),
+        refs[0], refs[1],
+    )
+    outputs = rom_batch(aux)
+    gaps = np.abs(closed - outputs)
+    worst = int(np.argmax(gaps))
     return Theorem2Report(
-        theta=theta,
-        max_gap=max_gap,
-        worst_zeta=worst_zeta,
+        theta=float(theta),
+        max_gap=float(gaps[worst]),
+        worst_zeta=float(zetas[worst]),
         output_magic=float(outputs.mean()),
         output_spread=float(outputs.max() - outputs.min()),
-        closed_form_max_err=closed_err,
+        closed_form_max_err=float(np.abs(closed - direct).max()),
     )

@@ -49,9 +49,10 @@ class MagicReport:
         }
 
 
-def _check_qubits(dim: int, n: int):
-    if dim != 2 ** n:
-        raise InvalidDimensionError(f"dim {dim} does not match {n} qubit(s)")
+def _check_qubits(shape: tuple, n: int, axes: int = 1):
+    """Raise unless the last `axes` lengths of `shape` all equal 2^n."""
+    if shape[-axes:] != (2 ** n,) * axes:
+        raise InvalidDimensionError(f"shape {shape} does not match {n} qubit(s)")
 
 
 def _pauli_traces(rho: np.ndarray, n: int) -> np.ndarray:
@@ -61,7 +62,7 @@ def _pauli_traces(rho: np.ndarray, n: int) -> np.ndarray:
 
 def witness_d(rho: DensityMatrix, n: int) -> float:
     """D = 2^{-n} sum_P |Tr(P rho)| over the full Pauli group."""
-    _check_qubits(rho.dim, n)
+    _check_qubits(rho.mat.shape, n, axes=2)
     return float(np.abs(_pauli_traces(rho.mat, n)).sum() / 2 ** n)
 
 
@@ -156,6 +157,7 @@ def _m2(x: np.ndarray, norm) -> np.ndarray:
 
 def sre2_pure_batch(amps: np.ndarray, n: int) -> np.ndarray:
     """M2 = -log2[ sum_P <psi|P|psi>^4 / 2^n ] over amplitudes (..., 2^n)."""
+    _check_qubits(amps.shape, n)
     expectations = np.einsum(
         "pij,...i,...j->...p", pauli_matrices(n), amps.conj(), amps
     ).real
@@ -167,19 +169,18 @@ def sre2_extended_batch(rho: np.ndarray, n: int) -> np.ndarray:
 
     This purity-normalized extension coincides with M2 on pure states.
     """
+    _check_qubits(rho.shape, n, axes=2)
     traces = _pauli_traces(rho, n)
     return _m2(traces, (traces ** 2).sum(axis=-1))
 
 
 def sre2_pure(psi: PureState, n: int) -> float:
     """`sre2_pure_batch` of one pure n-qubit state."""
-    _check_qubits(psi.dim, n)
     return float(sre2_pure_batch(psi.amps, n))
 
 
 def sre2_extended(rho: DensityMatrix, n: int) -> float:
     """`sre2_extended_batch` of one n-qubit density matrix."""
-    _check_qubits(rho.dim, n)
     return float(sre2_extended_batch(rho.mat, n))
 
 
@@ -190,6 +191,8 @@ def magic_power(unitary: np.ndarray) -> float:
         raise InvalidUnitaryError(f"expected a 4x4 matrix, got {unitary.shape}")
     if not np.isfinite(unitary).all():     # before inf - inf makes a NaN
         raise InvalidUnitaryError("matrix has non-finite entries")
+    if np.abs(unitary).max() > 1.0 + tol.UNITARITY:   # |U_ij| <= 1; keeps @ finite
+        raise InvalidUnitaryError("matrix is not unitary")
     defect = np.max(np.abs(unitary.conj().T @ unitary - np.eye(4)))
     if not defect <= tol.UNITARITY:        # also rejects NaN from overflow
         raise InvalidUnitaryError("matrix is not unitary")
@@ -205,8 +208,7 @@ def magic_report(state) -> MagicReport:
     else:
         rho = state
         pure = None
-    n = rho.dim.bit_length() - 1
-    _check_qubits(rho.dim, n)
+    n = rho.dim.bit_length() - 1            # witness_d rejects a non-power of 2
     return MagicReport(
         n=n,
         witness_d=witness_d(rho, n),

@@ -184,6 +184,16 @@ def _superposition(psi: PureState, psi_perp: PureState, thetas, zetas):
     return amps
 
 
+def check_finite_angles(*angles):
+    """Raise `InvalidInputError` naming the first non-finite angle."""
+    for values in angles:
+        values = np.asarray(values, dtype=float)
+        finite = np.isfinite(values)
+        if not finite.all():
+            bad = float(values[~finite][0])
+            raise InvalidInputError(f"angles must be finite, got {bad!r}")
+
+
 def superpose_batch(
     psi: PureState, psi_perp: PureState, thetas, zetas
 ) -> np.ndarray:
@@ -193,12 +203,7 @@ def superpose_batch(
     shape plus a trailing axis of length `psi.dim`, one unit row per angle
     pair.  The basis is checked once for the whole batch.
     """
-    for angles in (thetas, zetas):
-        angles = np.asarray(angles, dtype=float)
-        finite = np.isfinite(angles)
-        if not finite.all():
-            bad = float(angles[~finite][0])
-            raise InvalidInputError(f"angles must be finite, got {bad!r}")
+    check_finite_angles(thetas, zetas)
     amps = _superposition(psi, psi_perp, thetas, zetas)
     norm_sq = np.vecdot(amps, amps).real
     if not np.all(np.abs(norm_sq - 1.0) <= tol.NORM):      # also rejects NaN

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -25,19 +26,20 @@ from magicbroadcast.cloners import (
     superposition_bloch,
     superposition_magic,
     theorem2_falsify,
-    unrestricted_broadcast,
-    wz_broadcast_check,
+    unrestricted_broadcast_batch,
     wz_output,
     wz_output_magic,
     wz_state_check,
 )
-from magicbroadcast.errors import InvalidMachineError
+from magicbroadcast.errors import InvalidInputError, InvalidMachineError
 from magicbroadcast.measures import rom_batch, rom_lp_batch, rom_qubit
 from magicbroadcast.states import (
     T_POLAR_ANGLE,
+    BlochVector,
     PureState,
     bloch_batch,
     bloch_from_density,
+    density_from_bloch,
     h_state,
     superpose,
     superpose_batch,
@@ -69,20 +71,6 @@ def test_wz_output_is_reference_diagonal_mixture():
         + math.sin(math.pi / 6.0) ** 2 * t_perp_state().density().mat
     )
     assert np.allclose(rho.mat, expected, atol=1e-12)
-
-
-def test_wz_copies_reference_perfectly():
-    check = wz_broadcast_check(T_REF, 0.0, 0.0)
-    assert check.perfect
-    assert check.output_magic == pytest.approx(math.sqrt(3.0), abs=1e-12)
-
-
-@given(angles)
-def test_wz_output_magic_is_zeta_independent(zeta):
-    theta = 1.1
-    assert wz_broadcast_check(T_REF, theta, zeta).output_magic == (
-        wz_broadcast_check(T_REF, theta, 0.0).output_magic
-    )
 
 
 def test_wz_h_input_on_t_machine_overproduces_magic():
@@ -165,12 +153,20 @@ def test_bh_low_magic_interval_near_small_theta():
 # unrestricted broadcaster
 # ---------------------------------------------------------------------------
 
+def _reference_blochs(spec):
+    """Bloch vectors of the spec's (sys, aux) reference outputs, (2, 2, 3)."""
+    return bloch_batch(np.array([[rho.mat for rho in spec.sys_out],
+                                 [rho.mat for rho in spec.aux_out]]))
+
+
 def test_maximal_magic_spec_reference_and_outputs():
     spec = maximal_magic_spec()
     assert spec.reference_magic() == pytest.approx(math.sqrt(3.0), abs=1e-12)
-    sys_out, aux_out = unrestricted_broadcast(spec, 1.0, 0.0)
-    assert rom_qubit(sys_out) == pytest.approx(math.sqrt(3.0), abs=1e-12)
-    assert rom_qubit(aux_out) == pytest.approx(math.sqrt(3.0), abs=1e-12)
+    sys_out, aux_out = unrestricted_broadcast_batch(
+        1.0, 0.0, *_reference_blochs(spec)
+    )
+    assert rom_batch(sys_out) == pytest.approx(math.sqrt(3.0), abs=1e-12)
+    assert rom_batch(aux_out) == pytest.approx(math.sqrt(3.0), abs=1e-12)
 
 
 @settings(max_examples=60)
@@ -181,7 +177,7 @@ def test_superposition_closed_form_matches_direct_robustness(theta, zeta):
     assert superposition_magic(theta, zeta) == pytest.approx(
         direct, abs=1e-9
     )
-    bloch = superposition_bloch(theta, zeta).as_array()
+    bloch = superposition_bloch(theta, zeta)
     assert np.allclose(
         bloch, bloch_from_density(psi.density()).as_array(), atol=1e-9
     )
@@ -193,6 +189,104 @@ def test_theorem2_sweep_finds_large_gap():
     assert report.max_gap > 0.1
     assert report.closed_form_max_err <= 1e-9
     assert report.output_spread <= 1e-12
+
+
+# the scalar loop the array pass replaced, kept verbatim as its reference,
+# with the scalar closed form it called and the broadcaster wrapper inlined
+
+def _loop_superposition_bloch(theta, zeta):
+    ct, st = math.cos(theta), math.sin(theta)
+    cz, sz = math.cos(zeta), math.sin(zeta)
+    m1 = ct / math.sqrt(3.0) - st * cz / math.sqrt(6.0) + st * sz / math.sqrt(2.0)
+    m2 = ct / math.sqrt(3.0) - st * cz / math.sqrt(6.0) - st * sz / math.sqrt(2.0)
+    m3 = (ct + math.sqrt(2.0) * st * cz) / math.sqrt(3.0)
+    return BlochVector(m1, m2, m3)
+
+
+def _loop_superposition_magic(theta, zeta):
+    return float(rom_batch(_loop_superposition_bloch(theta, zeta).as_array()))
+
+
+def _loop_unrestricted_broadcast(spec, alpha, beta):
+    refs = bloch_batch(np.array([[rho.mat for rho in spec.sys_out],
+                                 [rho.mat for rho in spec.aux_out]]))
+    outputs = unrestricted_broadcast_batch(alpha, beta, refs[0], refs[1])
+    return tuple(density_from_bloch(BlochVector(*m)) for m in outputs)
+
+
+def _loop_theorem2_falsify(theta, zeta_grid):
+    spec = maximal_magic_spec()
+    max_gap, worst_zeta = -1.0, float("nan")
+    closed_err = 0.0
+    outputs = []
+    for zeta in zeta_grid:
+        alpha = math.cos(theta / 2.0)
+        beta = np.exp(1j * zeta) * math.sin(theta / 2.0)
+        _, aux = _loop_unrestricted_broadcast(spec, alpha, beta)
+        out_magic = rom_qubit(aux)
+        outputs.append(out_magic)
+        closed = _loop_superposition_magic(theta, zeta)
+        direct = rom_qubit(
+            superpose(spec.ref_in[0], spec.ref_in[1], theta, zeta).density()
+        )
+        closed_err = max(closed_err, abs(closed - direct))
+        gap = abs(closed - out_magic)
+        if gap > max_gap:
+            max_gap, worst_zeta = gap, zeta
+    outputs = np.array(outputs)
+    return dict(
+        theta=theta,
+        max_gap=max_gap,
+        worst_zeta=worst_zeta,
+        output_magic=float(outputs.mean()),
+        output_spread=float(outputs.max() - outputs.min()),
+        closed_form_max_err=closed_err,
+    )
+
+
+_T2_THETAS = [0.0, math.pi / 4.0, math.pi / 2.0, math.pi, 1e-9] + list(
+    np.random.default_rng(25).uniform(0.0, 2.0 * math.pi, 40)
+)
+
+
+@pytest.mark.parametrize("points", [1, 4, 72, 90, 720])
+def test_theorem2_sweep_matches_the_loop(points):
+    grid = np.linspace(0.0, 2.0 * math.pi, points, endpoint=False)
+    for theta in _T2_THETAS:
+        report = theorem2_falsify(theta, grid)
+        want = _loop_theorem2_falsify(theta, grid)
+        for field, value in vars(report).items():
+            assert type(value) is float, field
+            if field in ("theta", "worst_zeta", "closed_form_max_err"):
+                assert value == want[field], (theta, field)
+            else:
+                assert abs(value - want[field]) <= 1e-15, (theta, field)
+
+
+@pytest.mark.parametrize("theta, grid", [
+    (0.5, []),
+    (0.5, np.zeros((2, 3))),
+    (0.5, 0.3),
+    (math.nan, [0.0, 1.0]),
+    (math.inf, [0.0, 1.0]),
+    (0.5, [0.0, math.nan]),
+    (0.5, [-math.inf, 1.0]),
+])
+def test_theorem2_rejects_bad_grids_and_angles(theta, grid):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInputError):
+            theorem2_falsify(theta, grid)
+
+
+@pytest.mark.parametrize("theta, zeta", [
+    (math.inf, 0.3), (0.3, math.nan), (0.3, np.array([0.0, -math.inf])),
+])
+def test_superposition_closed_form_rejects_non_finite_angles(theta, zeta):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInputError, match="angles must be finite"):
+            superposition_magic(theta, zeta)
 
 
 def test_broadcaster_spec_requires_matching_output_magic():
@@ -212,8 +306,8 @@ def test_auxiliary_magic_never_exceeds_reference(theta, zeta, weight):
     spec = maximal_magic_spec()
     alpha = math.sqrt(weight) * np.exp(1j * zeta)
     beta = math.sqrt(1.0 - weight)
-    _, aux = unrestricted_broadcast(spec, alpha, beta)
-    assert rom_qubit(aux) <= spec.reference_magic() + 1e-9
+    _, aux = unrestricted_broadcast_batch(alpha, beta, *_reference_blochs(spec))
+    assert rom_batch(aux) <= spec.reference_magic() + 1e-9
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from magicbroadcast.errors import InvalidUnitaryError
+from magicbroadcast.errors import InvalidDimensionError, InvalidUnitaryError
 from magicbroadcast.measures import (
     magic_power,
     magic_report,
@@ -142,6 +142,23 @@ def test_sre2_batches_match_a_kron_built_oracle(n):
         assert np.allclose(got, want, rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: sre2_pure_batch(np.ones((3, 4)) / 2, 1),
+    lambda: sre2_pure_batch(np.ones(2) / math.sqrt(2), 2),
+    lambda: sre2_extended_batch(np.eye(4)[None] / 4, 1),
+    lambda: sre2_extended_batch(np.eye(2)[None] / 2, 2),
+    lambda: sre2_extended_batch(np.ones((3, 2, 4)) / 4, 1),
+    lambda: sre2_extended_batch(np.ones(2) / 2, 1),
+    lambda: sre2_pure(PureState([1.0, 0.0, 0.0, 0.0]), 1),
+    lambda: sre2_extended(DensityMatrix(np.eye(2) / 2), 2),
+    lambda: witness_d(DensityMatrix(np.eye(3) / 3), 1),
+    lambda: magic_report(PureState([0.6, 0.8, 0.0])),
+])
+def test_a_dimension_that_does_not_match_n_qubits_is_refused(call):
+    with pytest.raises(InvalidDimensionError):
+        call()
+
+
 def test_sre2_additivity_spot_check():
     psi, phi = t_state(), h_state()
     joint = sre2_pure(tensor(psi, phi), 2)
@@ -182,6 +199,18 @@ def test_magic_power_rejects_non_finite_entries(bad):
             magic_power(unitary)
         with pytest.raises(InvalidUnitaryError):
             magic_power(np.full((4, 4), bad))
+
+
+@pytest.mark.parametrize("unitary", [
+    np.full((4, 4), 1e200),
+    1e155 * np.eye(4),
+    np.full((4, 4), 1e200 + 1e200j),
+])
+def test_magic_power_rejects_huge_entries_without_overflow(unitary):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidUnitaryError):
+            magic_power(unitary)
 
 
 def test_magic_report_fields_and_json():

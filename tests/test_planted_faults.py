@@ -4,12 +4,17 @@ Each test rebinds a shipped function to a small mutant in every package
 module that holds it (the suites call the functions by imported name), runs
 a suite at a small sample count, and requires a FAIL verdict; the last one
 requires the sweep/LP-oracle consistency measure to exceed its tolerance.
+
+Broadcast weights |alpha|, |beta| left unsquared are caught by theorem3 only:
+on the maximal-magic broadcaster the output then stays independent of zeta
+and the closed form is untouched, so theorem2 still passes.
 """
 import sys
 
 import numpy as np
+import pytest
 
-from magicbroadcast import checks, cloners, measures, polytope
+from magicbroadcast import checks, cloners, measures, polytope, states
 from magicbroadcast.checks import run_suite
 
 
@@ -81,6 +86,37 @@ def test_theorem3_catches_a_sampler_off_the_level(monkeypatch):
     report = run_suite("theorem3", n_samples=200)
     assert not report.passed
     assert report.max_violation > 5e-4
+
+
+@pytest.mark.parametrize("n_samples", [4, 72])
+def test_theorem2_catches_a_flipped_sin_zeta_term_in_the_closed_form(
+    monkeypatch, n_samples
+):
+    original = cloners.superposition_bloch
+
+    def flipped(theta, zeta):
+        m = original(theta, zeta)
+        m[..., 0] -= 2.0 * np.sin(theta) * np.sin(zeta) / np.sqrt(2.0)
+        return m
+
+    assert run_suite("theorem2", n_samples=n_samples).passed
+    _plant(monkeypatch, original, flipped)
+    report = run_suite("theorem2", n_samples=n_samples)
+    assert not report.passed
+    assert report.max_violation > 0.1
+
+
+def test_theorem2_catches_superpose_batch_without_its_phase(monkeypatch):
+    original = states.superpose_batch
+
+    def no_phase(psi, psi_perp, thetas, zetas):
+        return original(psi, psi_perp, thetas, 0.0 * np.asarray(zetas))
+
+    assert run_suite("theorem2", n_samples=72).passed
+    _plant(monkeypatch, original, no_phase)
+    report = run_suite("theorem2", n_samples=72)
+    assert not report.passed
+    assert report.max_violation > 0.1
 
 
 def test_monotone_catches_sre2_extended_without_purity_normalisation(
