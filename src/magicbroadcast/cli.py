@@ -258,6 +258,8 @@ def cmd_experiment(args) -> int:
     cfg_data = {}
     if args.config:
         cfg_data = json.loads(Path(args.config).read_text())
+        if not isinstance(cfg_data, dict):
+            raise InvalidInputError("--config must hold a JSON object")
     if args.seed is not None:
         cfg_data["seed"] = args.seed
     cfg = OptimizerConfig.from_json(cfg_data)

@@ -2,12 +2,21 @@
 magic- and state-broadcast objectives, and a stochastic-ranking evolution
 strategy over the angle box.
 
-The hot path evaluates whole populations at once with batched 2x2 / 4x4
-algebra; a single run is strictly deterministic given its seed.
+The hot path is one fused kernel, `_evolved_batch`, that takes a whole
+population of angle vectors to the two reduced outputs of psi x |0>:
+
+- the input is the product (U1 psi) x (U2 |0>), one outer product;
+- the four local SU(2)s and the core phases come from one `_chart_factors`
+  call, one cosine and one sine over all angles;
+- the core is a phase vector between two 4x4 products with `_BELL`;
+- every 2x2 product is a broadcast multiply-add (`_mul_2x2`).
+
+A single run is strictly deterministic given its seed.
 """
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +28,11 @@ from .states import DensityMatrix, PureState, bloch_batch, haar_random_pure
 N_PARAMS = 15
 _TWO_PI = 2.0 * math.pi
 
-# Bell-type eigenbasis of the sigma_k x sigma_k interaction terms
+# Eigenbasis of the core, one basis vector per column.  The transpose makes
+# the columns |0+>, |1+>, |1->, |0-> rather than the Bell states, so with
+# `_PHASE_SIGNS` the core is exp[i(a Z.X - b Z.I + d I.X)], not the
+# exp[i(a XX + b YY + d ZZ)] the chart is named for (a strict-xfail test
+# in tests/test_optimize.py pins the difference).
 _BELL = np.array(
     [
         [1, 1, 0, 0],
@@ -61,76 +74,77 @@ class UnitaryParams15:
         return np.array(flat)
 
 
-def _su2_batch(kappa, lam, nu) -> np.ndarray:
-    """Z-Y-Z Euler unitaries for angle arrays, shape (..., 2, 2)."""
-    half_sum = 0.5 * (kappa + nu)
-    half_diff = 0.5 * (kappa - nu)
-    c, s = np.cos(lam / 2.0), np.sin(lam / 2.0)
-    out = np.empty(np.shape(kappa) + (2, 2), dtype=complex)
-    out[..., 0, 0] = np.exp(-1j * half_sum) * c
-    out[..., 0, 1] = -np.exp(-1j * half_diff) * s
-    out[..., 1, 0] = np.exp(1j * half_diff) * s
-    out[..., 1, 1] = np.exp(1j * half_sum) * c
-    return out
+def _chart_factors(p) -> tuple:
+    """Local SU(2)s (..., 4, 2, 2) and core phases (..., 4) of (..., 15) angles.
+
+    Triple t = (kappa, lambda, nu) gives the Z-Y-Z Euler unitary
+    [[e^{-ih} c, -e^{-ig} s], [e^{ig} s, e^{ih} c]] with h = (kappa + nu)/2,
+    g = (kappa - nu)/2 and c, s the cosine and sine of lambda/2.  Every
+    phase comes from one cosine and one sine call over all angles.
+    """
+    half = 0.5 * p[..., :12]
+    angles = np.empty((4,) + p.shape[:-1] + (4,))
+    np.add(half[..., 0::3], half[..., 2::3], out=angles[0])          # h
+    np.subtract(half[..., 0::3], half[..., 2::3], out=angles[1])     # g
+    angles[2] = half[..., 1::3]                                      # lambda/2
+    np.matmul(p[..., 12:], _PHASE_SIGNS.T, out=angles[3])            # core
+    z = np.empty(angles.shape, dtype=complex)                        # e^{i angles}
+    np.cos(angles, out=z.real)
+    np.sin(angles, out=z.imag)
+    a = z[0] * z[2].real
+    b = z[1] * z[2].imag
+    u = np.stack((a.conj(), -b.conj(), b, a), axis=-1)
+    return u.reshape(a.shape + (2, 2)), z[3]
 
 
-def _core_batch(alpha, beta, delta) -> np.ndarray:
-    """exp[i (a XX + b YY + d ZZ)] for angle arrays, shape (..., 4, 4)."""
-    angles = np.stack([alpha, beta, delta], axis=-1)
-    phases = np.exp(1j * (angles @ _PHASE_SIGNS.T))
-    return np.einsum("ik,...k,jk->...ij", _BELL, phases, _BELL.conj())
+def _mul_2x2(a, b) -> np.ndarray:
+    """a @ b for stacks of 2x2 matrices, as two broadcast products and a sum."""
+    return a[..., :, :1] * b[..., None, 0, :] + a[..., :, 1:] * b[..., None, 1, :]
 
 
-def _evolved_batch(params: np.ndarray, psi_amps: np.ndarray):
-    """Reduced outputs for a (N, 15) parameter batch.
+def _evolved_batch(params: np.ndarray, psi_amps: np.ndarray) -> np.ndarray:
+    """Reduced outputs for a (N, 15) parameter batch, shape (2, N, 2, 2).
 
-    Returns (rho_sys, rho_aux), each shaped (N, 2, 2), for the evolved
-    |psi> x |0> input.
+    Row 0 holds rho_sys and row 1 rho_aux for the evolved |psi> x |0> input,
+    so `rho_sys, rho_aux = _evolved_batch(...)` unpacks them.
     """
     p = np.atleast_2d(params)
-    u = [_su2_batch(p[:, 3 * i], p[:, 3 * i + 1], p[:, 3 * i + 2]) for i in range(4)]
-    core = _core_batch(p[:, 12], p[:, 13], p[:, 14])
-
-    start = np.outer(psi_amps, [1.0, 0.0]).astype(complex)   # (sys, aux) indices
-    w = np.einsum("nij,jk,nlk->nil", u[0], start, u[1])
-    w = np.einsum("nij,nj->ni", core, w.reshape(len(p), 4)).reshape(len(p), 2, 2)
-    w = np.einsum("nij,njk,nlk->nil", u[2], w, u[3])
-
-    rho_sys = np.einsum("nij,nkj->nik", w, w.conj())
-    rho_aux = np.einsum("nji,njk->nik", w, w.conj())
-    return rho_sys, rho_aux
+    n = len(p)
+    u, phases = _chart_factors(p)
+    # input side: (U1 psi) x (U2 |0>), flattened in (sys, aux) order
+    u1_psi = u[:, 0, :, 0] * psi_amps[0] + u[:, 0, :, 1] * psi_amps[1]
+    v = (u1_psi[:, :, None] * u[:, 1, None, :, 0]).reshape(n, 4)
+    # core: rows v -> core @ v, diagonal in the `_BELL` basis
+    v = ((v @ _BELL.conj()) * phases) @ _BELL.T
+    # output side: (U3 x U4) v is U3 w U4^T on the (sys, aux) matrix w
+    w = _mul_2x2(_mul_2x2(u[:, 2], v.reshape(n, 2, 2)), u[:, 3].swapaxes(1, 2))
+    # rho_sys = w w^H and rho_aux = w^T conj(w), as m m^H for m in (w, w^T)
+    m = np.stack((w, w.swapaxes(1, 2)))
+    return _mul_2x2(m, m.conj().swapaxes(2, 3))
 
 
 def _fidelity_batch_2x2(rho: np.ndarray, psi_amps: np.ndarray) -> np.ndarray:
-    return np.einsum("i,nij,j->n", psi_amps.conj(), rho, psi_amps).real
+    return np.einsum("i,...ij,j->...", psi_amps.conj(), rho, psi_amps).real
 
 
 def build_unitary(p: UnitaryParams15) -> np.ndarray:
-    """(U3 x U4) . exp[i(a XX + b YY + d ZZ)] . (U1 x U2), a 4x4 unitary."""
-    tri = p.su2_angles
-    locals_ = [
-        _su2_batch(np.array(t[0]), np.array(t[1]), np.array(t[2])) for t in tri
-    ]
-    core = _core_batch(*[np.array(a) for a in p.core_angles])
-    return (
-        np.kron(locals_[2], locals_[3]) @ core @ np.kron(locals_[0], locals_[1])
-    )
+    """(U3 x U4) . core . (U1 x U2), a 4x4 unitary.
+
+    The core is `_BELL` diag(phases) `_BELL`^H, the matrix `_evolved_batch`
+    applies to its rows.
+    """
+    u, phases = _chart_factors(p.to_vector())
+    core = np.einsum("ik,k,jk->ij", _BELL, phases, _BELL.conj())
+    return np.kron(u[2], u[3]) @ core @ np.kron(u[0], u[1])
 
 
 def _objective_batch(params, psi_amps, objective: str) -> np.ndarray:
-    rho_sys, rho_aux = _evolved_batch(params, psi_amps)
+    rho = _evolved_batch(params, psi_amps)
     if objective == "magic":
-        # one core call for both outputs and, in the last row, the input
-        rho = np.concatenate(
-            (rho_sys, rho_aux, np.outer(psi_amps, psi_amps.conj())[None])
-        )
-        rom = rom_batch(bloch_batch(rho))
-        return np.abs(rom[:-1] - rom[-1]).reshape(2, -1).max(axis=0)
+        rom_in = rom_batch(bloch_batch(np.outer(psi_amps, psi_amps.conj())))
+        return np.abs(rom_batch(bloch_batch(rho)) - rom_in).max(axis=0)
     if objective == "state":
-        return np.maximum(
-            1.0 - _fidelity_batch_2x2(rho_sys, psi_amps),
-            1.0 - _fidelity_batch_2x2(rho_aux, psi_amps),
-        )
+        return (1.0 - _fidelity_batch_2x2(rho, psi_amps)).max(axis=0)
     raise InvalidInputError(f"unknown objective {objective!r}")
 
 
@@ -143,12 +157,22 @@ class OptimizerConfig:
     restarts: int = 5
 
     def __post_init__(self):
+        for name in ("population", "max_evals", "seed", "restarts"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise InvalidInputError(f"{name} must be an integer, got {value!r}")
+        eps = self.epsilon
+        if (isinstance(eps, bool) or not isinstance(eps, numbers.Real)
+                or not math.isfinite(eps) or eps <= 0.0):
+            raise InvalidInputError(
+                f"epsilon must be a finite positive number, got {eps!r}"
+            )
         if self.population < 4 or self.population % 2:
             raise InvalidInputError("population must be even and >= 4")
-        if self.epsilon <= 0.0:
-            raise InvalidInputError("epsilon must be positive")
-        if self.restarts < 1 or self.max_evals < self.population:
-            raise InvalidInputError("invalid budget configuration")
+        if self.restarts < 1:
+            raise InvalidInputError("restarts must be >= 1")
+        if self.max_evals < self.population:
+            raise InvalidInputError("max_evals must be >= population")
 
     @classmethod
     def from_json(cls, data: dict) -> "OptimizerConfig":
@@ -212,20 +236,22 @@ def _es_run(objective, psi_amps, cfg, rng, budget, start=None):
     best_idx = int(np.argmin(fits))
     best_x, best_f = xs[best_idx].copy(), float(fits[best_idx])
 
+    assign = np.arange(lam) % mu
     while best_f > cfg.epsilon and evals + lam <= budget:
         # ranking: no nonlinear constraints, so the stochastic bubble sort
         # reduces to a plain fitness sort
         order = np.argsort(fits, kind="stable")
         parent_x = xs[order[:mu]]
         parent_s = sigmas[order[:mu]]
-        assign = np.arange(lam) % mu
-        global_step = rng.standard_normal((lam, 1))
-        local_step = rng.standard_normal((lam, N_PARAMS))
+        # one draw, split in the order of the global, local and search steps
+        normals = rng.standard_normal(lam * (1 + 2 * N_PARAMS))
+        global_step = normals[:lam, None]
+        local_step, search_step = normals[lam:].reshape(2, lam, N_PARAMS)
         sigmas = parent_s[assign] * np.exp(
             tau_prime * global_step + tau * local_step
         )
         np.clip(sigmas, 1e-9, _TWO_PI, out=sigmas)
-        xs = parent_x[assign] + sigmas * rng.standard_normal((lam, N_PARAMS))
+        xs = parent_x[assign] + sigmas * search_step
         xs = np.mod(xs, _TWO_PI)       # box is periodic in every coordinate
         fits = _objective_batch(xs, psi_amps, objective)
         evals += lam

@@ -242,6 +242,36 @@ def test_experiment_bad_count_writes_nothing(tmp_path, capsys, count):
     assert not out_dir.exists()
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("text,field", [
+    ('{"epsilon": NaN}', "epsilon"),
+    ('{"epsilon": Infinity}', "epsilon"),
+    ('{"epsilon": "1e-4"}', "epsilon"),
+    ('{"epsilon": true}', "epsilon"),
+    ('{"population": 42.0}', "population"),
+    ('{"restarts": 2.0}', "restarts"),
+    ('{"seed": 1.5}', "seed"),
+    ('{"max_evals": 1e5}', "max_evals"),
+    ('{"restarts": true}', "restarts"),
+    ('[1]', "--config"),
+    ('"x"', "--config"),
+])
+def test_experiment_bad_config_field_is_usage_error(tmp_path, capsys, text, field):
+    # NaN and Infinity used to run with wrong results; the rest printed a traceback
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    out_dir = tmp_path / "run"
+    code, out, err = run(
+        capsys, "experiment", "magic", "--samples", "1", "--out", str(out_dir),
+        "--config", str(cfg),
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert field in err
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize("count", ["0", "-1", "-100"])
 @pytest.mark.parametrize(
     "machine", [["wz", "--ref", "T"], ["wz", "--ref", "H"], ["bh"]]
