@@ -6,7 +6,6 @@ from .states import (
     BlochVector,
     DensityMatrix,
     PureState,
-    apply_unitary,
     bloch_batch,
     bloch_from_density,
     density_from_bloch,
@@ -17,7 +16,6 @@ from .states import (
     superpose_batch,
     t_perp_state,
     t_state,
-    tensor,
 )
 from .stabilizers import (
     clifford_group_1q,

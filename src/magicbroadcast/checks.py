@@ -1,8 +1,11 @@
 """Property-verification suites.
 
-Each suite draws randomized instances, measures the worst violation of the
-property under test, and reports pass/fail against its declared tolerance.
-The same functions back the `verify` CLI subcommand and the acceptance tests.
+Each suite is an array function `(rng, n) -> violations` that draws n
+randomized instances and returns how far each one breaks the property under
+test.  `run_suite` is the single entry point: it seeds the generator, times
+the suite and turns the worst violation (NaN counts as the worst) into a
+pass/fail report against the suite's tolerance.  It backs the `verify` CLI
+subcommand and the acceptance tests.
 """
 from __future__ import annotations
 
@@ -15,14 +18,10 @@ import numpy as np
 from . import tolerances as tol
 from .cloners import theorem2_falsify, unrestricted_broadcast_batch
 from .errors import InvalidInputError, MagicBroadcastError
-from .measures import rom_batch, rom_lp_batch, rom_qubit
-from .measures import sre2_extended_batch, sre2_pure, sre2_pure_batch
-from .polytope import (
-    broadcast_geometry_certificate,
-    scan_polytope_crossings,
-)
+from .measures import rom_batch, rom_lp_batch, sre2_extended_batch, sre2_pure_batch
+from .polytope import broadcast_geometry_certificate, scan_polytope_crossings
 from .stabilizers import clifford_group_1q
-from .states import BlochVector, apply_unitary, haar_random_pure, tensor
+from .states import BlochVector, pure_bloch_batch
 
 _SQRT3 = math.sqrt(3.0)
 
@@ -53,25 +52,20 @@ class VerificationReport:
         }
 
 
-def _report(name, samples, violation, tolerance, seed, t0) -> VerificationReport:
-    return VerificationReport(
-        check_name=name,
-        samples=samples,
-        max_violation=float(violation),
-        tolerance=tolerance,
-        seed=seed,
-        runtime_ms=int((time.perf_counter() - t0) * 1000),
-    )
-
-
 # ---------------------------------------------------------------------------
 # random-instance helpers
 # ---------------------------------------------------------------------------
 
+def haar_amps(rng, n: int, dim: int) -> np.ndarray:
+    """Amplitudes of n Haar-random pure states, one unit row each: (n, dim)."""
+    z = rng.standard_normal((n, dim)) + 1j * rng.standard_normal((n, dim))
+    z /= np.linalg.norm(z, axis=1, keepdims=True)
+    return z
+
+
 def random_qubit_bloch(rng, n: int, mixed_fraction: float = 0.5) -> np.ndarray:
     """Bloch vectors of random qubit states: Haar-pure plus uniform-ball mixed."""
-    z = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
-    z /= np.linalg.norm(z, axis=1, keepdims=True)
+    z = haar_amps(rng, n, 2)
     bloch = np.empty((n, 3))
     off = z[:, 0] * z[:, 1].conj()
     bloch[:, 0] = 2.0 * off.real
@@ -137,109 +131,66 @@ def sample_bloch_on_levels(levels, rng) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# suites
+# suites: (rng, n) -> violations, one entry per sample (or per measure)
 # ---------------------------------------------------------------------------
 
-def check_lemma1(n_samples: int = 100_000, seed: int = 0) -> VerificationReport:
+def _lemma1(rng, n: int) -> np.ndarray:
     """Closed-form qubit robustness against the exact LP oracle."""
-    t0 = time.perf_counter()
-    rng = np.random.default_rng(seed)
-    bloch = random_qubit_bloch(rng, n_samples)
-    closed = rom_batch(bloch)
-    oracle = rom_lp_batch(bloch)
-    violation = np.max(np.abs(closed - oracle))
-    return _report("lemma1", n_samples, violation, tol.LEMMA_EQUIV, seed, t0)
+    bloch = random_qubit_bloch(rng, n)
+    return np.abs(rom_batch(bloch) - rom_lp_batch(bloch))
 
 
-def check_clifford_invariance(
-    n_samples: int = 1000, seed: int = 0
-) -> VerificationReport:
-    """M2, robustness, and the witness under random Clifford rotations."""
-    t0 = time.perf_counter()
-    rng = np.random.default_rng(seed)
-    group = clifford_group_1q()
-    worst = 0.0
-    for _ in range(n_samples):
-        psi = haar_random_pure(2, rng)
-        cliff = group[rng.integers(len(group))]
-        rotated = apply_unitary(cliff, psi)
-        worst = max(
-            worst,
-            abs(sre2_pure(rotated, 1) - sre2_pure(psi, 1)),
-            abs(rom_qubit(rotated.density()) - rom_qubit(psi.density())),
-        )
-    return _report(
-        "clifford", n_samples, worst, tol.CLIFFORD_INVARIANCE, seed, t0
-    )
+def _clifford(rng, n: int) -> np.ndarray:
+    """M2 and robustness of Haar qubit states under random Clifford rotations."""
+    amps = haar_amps(rng, n, 2)
+    group = np.array(clifford_group_1q())
+    cliffords = group[rng.integers(len(group), size=n)]
+    pair = np.stack([amps, np.einsum("nij,nj->ni", cliffords, amps)])
+    m2 = sre2_pure_batch(pair, 1)
+    rom = rom_batch(pure_bloch_batch(pair))
+    return np.maximum(np.abs(m2[1] - m2[0]), np.abs(rom[1] - rom[0]))
 
 
-def check_additivity(n_samples: int = 1000, seed: int = 0) -> VerificationReport:
-    """M2 additivity on random two-qubit product states."""
-    t0 = time.perf_counter()
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(n_samples):
-        psi, phi = haar_random_pure(2, rng), haar_random_pure(2, rng)
-        joint = sre2_pure(tensor(psi, phi), 2)
-        worst = max(
-            worst, abs(joint - sre2_pure(psi, 1) - sre2_pure(phi, 1))
-        )
-    return _report("additivity", n_samples, worst, tol.ADDITIVITY, seed, t0)
+def _additivity(rng, n: int) -> np.ndarray:
+    """M2 additivity on two-qubit products of Haar qubit states."""
+    psi, phi = haar_amps(rng, n, 2), haar_amps(rng, n, 2)
+    joint = sre2_pure_batch((psi[:, :, None] * phi[:, None, :]).reshape(n, 4), 2)
+    return np.abs(joint - sre2_pure_batch(psi, 1) - sre2_pure_batch(phi, 1))
 
 
-def check_convexity(n_samples: int = 1000, seed: int = 0) -> VerificationReport:
+def _convexity(rng, n: int) -> np.ndarray:
     """Convexity of the qubit robustness on random mixtures."""
-    t0 = time.perf_counter()
-    rng = np.random.default_rng(seed)
-    bloch = random_qubit_bloch(rng, 2 * n_samples)
+    bloch = random_qubit_bloch(rng, 2 * n)
     b1, b2 = bloch[0::2], bloch[1::2]
-    lam = rng.random(n_samples)
+    lam = rng.random(n)
     mixed = rom_batch(lam[:, None] * b1 + (1.0 - lam[:, None]) * b2)
-    bound = lam * rom_batch(b1) + (1.0 - lam) * rom_batch(b2)
-    worst = np.max(mixed - bound, initial=0.0)
-    return _report("convexity", n_samples, worst, tol.CLIFFORD_INVARIANCE, seed, t0)
+    return mixed - (lam * rom_batch(b1) + (1.0 - lam) * rom_batch(b2))
 
 
-def check_monotonicity(
-    n_samples: int = 10_000, seed: int = 0
-) -> VerificationReport:
+def _monotone(rng, n: int) -> np.ndarray:
     """Extended-M2 non-increase under partial trace, two-qubit pure inputs."""
-    t0 = time.perf_counter()
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal((n_samples, 4)) + 1j * rng.standard_normal(
-        (n_samples, 4)
-    )
-    z /= np.linalg.norm(z, axis=1, keepdims=True)
-
-    joint = sre2_pure_batch(z, 2)
-    blocks = z.reshape(n_samples, 2, 2)
+    z = haar_amps(rng, n, 4)
+    blocks = z.reshape(n, 2, 2)
     reduced = np.einsum("nij,nkj->nik", blocks, blocks.conj())
-    ext = sre2_extended_batch(reduced, 1)
-
-    violation = np.max(np.maximum(0.0, ext - joint))
-    return _report("monotone", n_samples, violation, tol.MONOTONICITY, seed, t0)
+    return sre2_extended_batch(reduced, 1) - sre2_pure_batch(z, 2)
 
 
-def check_theorem2(
-    n_samples: int = 720, seed: int = 0, theta: float = math.pi / 4
-) -> VerificationReport:
-    """Maximal-magic broadcaster gap sweep at fixed theta.
+_THEOREM2_THETA = math.pi / 4.0
 
-    Violation aggregates: closed-form mismatch with the direct robustness,
+
+def _theorem2(rng, n: int) -> np.ndarray:
+    """Maximal-magic broadcaster gap sweep over a fixed grid of n zetas.
+
+    Three violations: the closed-form mismatch with the direct robustness,
     any zeta dependence of the output, and a shortfall of the gap below 0.1.
     """
-    t0 = time.perf_counter()
-    grid = np.linspace(0.0, 2.0 * math.pi, n_samples, endpoint=False)
-    report = theorem2_falsify(theta, grid)
-    violation = max(
-        report.closed_form_max_err,
-        report.output_spread,
-        max(0.0, 0.1 - report.max_gap),
-    )
-    return _report("theorem2", n_samples, violation, tol.BROADCAST_EQUALITY, seed, t0)
+    grid = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
+    report = theorem2_falsify(_THEOREM2_THETA, grid)
+    return np.array([report.closed_form_max_err, report.output_spread,
+                     0.1 - report.max_gap])
 
 
-def check_theorem3(n_samples: int = 10_000, seed: int = 0) -> VerificationReport:
+def _theorem3(rng, n: int) -> np.ndarray:
     """Auxiliary output magic never exceeds the reference magic (Theorem 3).
 
     Each sample is a machine built on a Haar reference pair at level
@@ -254,72 +205,67 @@ def check_theorem3(n_samples: int = 10_000, seed: int = 0) -> VerificationReport
     premises: a mixture whose weights do not sum to one, or a sampler that
     draws off the level.
     """
-    t0 = time.perf_counter()
-    rng = np.random.default_rng(seed)
-    levels = rom_batch(random_qubit_bloch(rng, n_samples, mixed_fraction=0.0))
+    levels = rom_batch(random_qubit_bloch(rng, n, mixed_fraction=0.0))
     outputs = sample_bloch_on_levels(np.repeat(levels, 4), rng).reshape(-1, 4, 3)
-    w = rng.standard_normal((n_samples, 4))
+    w = rng.standard_normal((n, 4))
     w /= np.linalg.norm(w, axis=1, keepdims=True)
     _, aux = unrestricted_broadcast_batch(
         w[:, 0] + 1j * w[:, 1], w[:, 2] + 1j * w[:, 3],
         outputs[:, :2], outputs[:, 2:],
     )
     off_level = np.abs(rom_batch(outputs) - levels[:, None]).max(axis=1)
-    violation = np.maximum(rom_batch(aux) - levels, off_level)
-    worst = np.max(violation, initial=0.0)
-    return _report("theorem3", n_samples, worst, tol.BROADCAST_EQUALITY, seed, t0)
+    return np.maximum(rom_batch(aux) - levels, off_level)
 
 
-def check_geometry(
-    n_samples: int = 1000, seed: int = 0, scan_points: int = 10_000
-) -> VerificationReport:
+_SCAN_POINTS = 10_000
+_RESOLUTION = 2.0 / (_SCAN_POINTS - 1)
+
+
+def _meet(ts, tas) -> bool:
+    """Whether some pair of crossings lies within one grid step."""
+    return any(abs(t - ta) <= _RESOLUTION for t in ts for ta in tas)
+
+
+def _nearest_miss(scanned, exact) -> float:
+    """Largest distance of a scanned crossing from its nearest exact root, at most 1."""
+    return max((min([1.0] + [abs(t - e) for e in exact]) for t in scanned), default=0.0)
+
+
+def _geometry_mismatch(ends: np.ndarray, r: float) -> float:
+    """The certificate at level r against two dense scans of its segments."""
+    points = [BlochVector(*m) for m in ends]
+    cert = broadcast_geometry_certificate(*points, r)
+    # called by its name in this module, which a caller may rebind to watch it
+    sys_scan = scan_polytope_crossings(points[0], points[1], r, _SCAN_POINTS)
+    aux_scan = scan_polytope_crossings(points[2], points[3], r, _SCAN_POINTS)
+    scan_common = _meet(sys_scan, aux_scan)
+    if cert.broadcastable and not scan_common:
+        return 1.0
+    # the scan may pair distinct near-surface roots; re-check exactly
+    if scan_common and not cert.broadcastable and not _meet(cert.sys_t, cert.aux_t):
+        return 1.0
+    return max(_nearest_miss(sys_scan, cert.sys_t), _nearest_miss(aux_scan, cert.aux_t))
+
+
+def _geometry(rng, n: int) -> np.ndarray:
     """Exact line-polytope solver and certificate against the dense scan."""
-    t0 = time.perf_counter()
-    rng = np.random.default_rng(seed)
-    resolution = 2.0 / (scan_points - 1)
-    levels = rng.uniform(1.05, _SQRT3, n_samples)
+    levels = rng.uniform(1.05, _SQRT3, n)
     targets = rng.uniform(1.0, levels)
     endpoints = sample_bloch_on_levels(np.repeat(levels, 4), rng).reshape(-1, 4, 3)
-    worst = 0.0
-    for ends, r in zip(endpoints, targets):
-        points = [BlochVector(*m) for m in ends]
-        cert = broadcast_geometry_certificate(*points, r)
-
-        sys_scan = scan_polytope_crossings(points[0], points[1], r, scan_points)
-        aux_scan = scan_polytope_crossings(points[2], points[3], r, scan_points)
-        for scanned, exact in ((sys_scan, cert.sys_t), (aux_scan, cert.aux_t)):
-            for t_scan in scanned:
-                nearest = min(
-                    (abs(t_scan - t) for t in exact), default=math.inf
-                )
-                worst = max(worst, min(nearest, 1.0))
-
-        scan_common = any(
-            abs(ts - ta) <= resolution for ts in sys_scan for ta in aux_scan
-        )
-        if cert.broadcastable and not scan_common:
-            worst = max(worst, 1.0)
-        if scan_common and not cert.broadcastable:
-            # the scan may pair distinct near-surface roots; re-check exactly
-            ok = any(
-                abs(ts - ta) <= resolution
-                for ts in cert.sys_t
-                for ta in cert.aux_t
-            )
-            if not ok:
-                worst = max(worst, 1.0)
-    return _report("geometry", n_samples, worst, resolution, seed, t0)
+    return np.array([_geometry_mismatch(e, r) for e, r in zip(endpoints, targets)])
 
 
+# name -> (suite, default samples, tolerance); the defaults are the release
+# contract's sample counts
 _SUITES = {
-    "lemma1": check_lemma1,
-    "clifford": check_clifford_invariance,
-    "additivity": check_additivity,
-    "convexity": check_convexity,
-    "theorem2": check_theorem2,
-    "theorem3": check_theorem3,
-    "geometry": check_geometry,
-    "monotone": check_monotonicity,
+    "lemma1": (_lemma1, 100_000, tol.LEMMA_EQUIV),
+    "clifford": (_clifford, 1000, tol.CLIFFORD_INVARIANCE),
+    "additivity": (_additivity, 1000, tol.ADDITIVITY),
+    "convexity": (_convexity, 1000, tol.CLIFFORD_INVARIANCE),
+    "theorem2": (_theorem2, 720, tol.BROADCAST_EQUALITY),
+    "theorem3": (_theorem3, 10_000, tol.BROADCAST_EQUALITY),
+    "geometry": (_geometry, 1000, _RESOLUTION),
+    "monotone": (_monotone, 10_000, tol.MONOTONICITY),
 }
 
 
@@ -328,13 +274,24 @@ def suite_names():
 
 
 def run_suite(name: str, n_samples=None, seed: int = 0) -> VerificationReport:
+    """Run one suite from `default_rng(seed)` and report its worst violation.
+
+    A NaN violation is the worst and fails the suite.
+    """
     if name not in _SUITES:
-        raise InvalidInputError(
-            f"unknown suite {name!r}; choose from {suite_names()}"
-        )
-    fn = _SUITES[name]
+        raise InvalidInputError(f"unknown suite {name!r}; choose from {suite_names()}")
+    suite, default_samples, tolerance = _SUITES[name]
     if n_samples is None:
-        return fn(seed=seed)
-    if n_samples < 1:               # a suite over no samples would pass vacuously
+        n_samples = default_samples
+    elif n_samples < 1:             # a suite over no samples would pass vacuously
         raise InvalidInputError(f"n_samples must be >= 1, got {n_samples}")
-    return fn(n_samples=n_samples, seed=seed)
+    t0 = time.perf_counter()
+    violations = suite(np.random.default_rng(seed), n_samples)
+    return VerificationReport(
+        check_name=name,
+        samples=n_samples,
+        max_violation=float(np.max(violations, initial=0.0)),
+        tolerance=tolerance,
+        seed=seed,
+        runtime_ms=int((time.perf_counter() - t0) * 1000),
+    )

@@ -37,8 +37,8 @@ from .states import (
     T_POLAR_ANGLE,
     BlochVector,
     PureState,
-    bloch_batch,
     h_state,
+    pure_bloch_batch,
     superpose,
     superpose_batch,
     t_perp_state,
@@ -163,7 +163,7 @@ def _rows_to_output(header, rows, args) -> int:
 
 def _sweep_robustness(amps: np.ndarray) -> np.ndarray:
     """Robustness of every (n, 2) sweep input row in one call of the core."""
-    return rom_batch(bloch_batch(amps[:, :, None] * amps[:, None, :].conj()))
+    return rom_batch(pure_bloch_batch(amps))
 
 
 def _sweep_rows(columns) -> list:

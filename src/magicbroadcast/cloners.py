@@ -21,6 +21,7 @@ from .states import (
     PureState,
     bloch_batch,
     check_finite_angles,
+    pure_bloch_batch,
     superpose_batch,
     t_perp_state,
     t_state,
@@ -39,6 +40,12 @@ class WZParams:
 
     gamma: float
     gamma_prime: float
+
+    def __post_init__(self):
+        for name in ("gamma", "gamma_prime"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise InvalidInputError(f"{name} must be finite, got {value!r}")
 
     def reference(self) -> PureState:
         return PureState(
@@ -87,6 +94,7 @@ def wz_output_magic_unclipped(p: WZParams, theta):
 
     `theta` may be an array of machine angles; the result has its shape.
     """
+    check_finite_angles(theta)
     return np.abs(np.cos(theta)) * p.reference_magic()
 
 
@@ -181,6 +189,7 @@ def bh_magic_unclipped(p: BHParams, theta, zeta):
     The angles (and the machine's xi, eta) may be arrays that broadcast
     against each other; the result has the broadcast shape.
     """
+    check_finite_angles(theta, zeta)
     return (1.0 - 2.0 * p.xi) * np.abs(np.cos(theta)) + p.eta * np.abs(
         np.sin(theta)
     ) * (np.abs(np.cos(zeta)) + np.abs(np.sin(zeta)))
@@ -328,7 +337,7 @@ def theorem2_falsify(theta: float, zeta_grid) -> Theorem2Report:
         )
     spec = maximal_magic_spec()
     amps = superpose_batch(*spec.ref_in, theta, zetas)
-    direct = rom_batch(bloch_batch(amps[:, :, None] * amps[:, None, :].conj()))
+    direct = rom_batch(pure_bloch_batch(amps))
     closed = superposition_magic(theta, zetas)
     refs = bloch_batch(np.array([[rho.mat for rho in spec.sys_out],
                                  [rho.mat for rho in spec.aux_out]]))

@@ -24,6 +24,7 @@ import numpy as np
 from .errors import InvalidInputError
 from .measures import magic_power, rom_batch, rom_qubit
 from .states import DensityMatrix, PureState, bloch_batch, haar_random_pure
+from .states import pure_bloch_batch
 
 N_PARAMS = 15
 _TWO_PI = 2.0 * math.pi
@@ -141,7 +142,7 @@ def build_unitary(p: UnitaryParams15) -> np.ndarray:
 def _objective_batch(params, psi_amps, objective: str) -> np.ndarray:
     rho = _evolved_batch(params, psi_amps)
     if objective == "magic":
-        rom_in = rom_batch(bloch_batch(np.outer(psi_amps, psi_amps.conj())))
+        rom_in = rom_batch(pure_bloch_batch(psi_amps))
         return np.abs(rom_batch(bloch_batch(rho)) - rom_in).max(axis=0)
     if objective == "state":
         return (1.0 - _fidelity_batch_2x2(rho, psi_amps)).max(axis=0)

@@ -1,6 +1,6 @@
 """State containers (pure vectors, density matrices, Bloch vectors) and the
-elementary operations on them: Haar sampling, composition, reduction, and the
-named single-qubit magic states.
+elementary operations on them: Haar sampling, superposition, reduction, and
+the named single-qubit magic states.
 
 All values are immutable after construction and every function is pure, so the
 whole module is safe for unrestricted parallel use.
@@ -143,6 +143,11 @@ def bloch_batch(rho: np.ndarray) -> np.ndarray:
     return out
 
 
+def pure_bloch_batch(amps: np.ndarray) -> np.ndarray:
+    """Magnetizations of pure qubit amplitudes: (..., 2) -> (..., 3)."""
+    return bloch_batch(amps[..., :, None] * amps[..., None, :].conj())
+
+
 def density_from_bloch(b: BlochVector) -> DensityMatrix:
     """Inverse of `bloch_from_density`: rho = (I + sum m_j sigma_j) / 2."""
     mat = 0.5 * (
@@ -223,15 +228,6 @@ def superpose(
     return PureState(_superposition(psi, psi_perp, theta, zeta))
 
 
-def tensor(a, b):
-    """Tensor product of two pure states or two density matrices."""
-    if isinstance(a, PureState) and isinstance(b, PureState):
-        return PureState(np.kron(a.amps, b.amps))
-    if isinstance(a, DensityMatrix) and isinstance(b, DensityMatrix):
-        return DensityMatrix(np.kron(a.mat, b.mat))
-    raise InvalidDimensionError("tensor expects two states of the same kind")
-
-
 def partial_trace(rho: DensityMatrix, keep: int) -> DensityMatrix:
     """Reduce a bipartite d x d system to subsystem `keep` (0 or 1)."""
     d = math.isqrt(rho.dim)
@@ -245,17 +241,3 @@ def partial_trace(rho: DensityMatrix, keep: int) -> DensityMatrix:
     else:
         reduced = np.einsum("kikj->ij", blocks)
     return DensityMatrix(reduced)
-
-
-def apply_unitary(unitary: np.ndarray, state):
-    """Apply a unitary to a pure state or a density matrix."""
-    unitary = np.asarray(unitary, dtype=complex)
-    if isinstance(state, PureState):
-        if unitary.shape != (state.dim, state.dim):
-            raise InvalidDimensionError("unitary/state dimension mismatch")
-        return PureState(unitary @ state.amps)
-    if isinstance(state, DensityMatrix):
-        if unitary.shape != (state.dim, state.dim):
-            raise InvalidDimensionError("unitary/state dimension mismatch")
-        return DensityMatrix(unitary @ state.mat @ unitary.conj().T)
-    raise InvalidDimensionError("state must be a PureState or DensityMatrix")

@@ -11,15 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from magicbroadcast.checks import (
-    check_additivity,
-    check_clifford_invariance,
-    check_geometry,
-    check_lemma1,
-    check_monotonicity,
-    check_theorem2,
-    check_theorem3,
-)
+from magicbroadcast.checks import run_suite
 from magicbroadcast.cloners import (
     BHParams,
     WZParams,
@@ -51,7 +43,7 @@ def _verdict(num: int, passed: bool, detail: str):
 
 def test_criterion_01_closed_form_matches_lp_oracle():
     t0 = time.perf_counter()
-    report = check_lemma1(n_samples=100_000, seed=0)
+    report = run_suite("lemma1", n_samples=100_000, seed=0)
     runtime = time.perf_counter() - t0
     _verdict(
         1,
@@ -86,9 +78,9 @@ def rom_qubit_amp(amps):
 
 
 def test_criterion_03_entropy_monotone_ingredients():
-    clifford = check_clifford_invariance(n_samples=1000, seed=0)
-    additive = check_additivity(n_samples=1000, seed=0)
-    monotone = check_monotonicity(n_samples=10_000, seed=0)
+    clifford = run_suite("clifford", n_samples=1000, seed=0)
+    additive = run_suite("additivity", n_samples=1000, seed=0)
+    monotone = run_suite("monotone", n_samples=10_000, seed=0)
     ok = clifford.passed and additive.passed and monotone.passed
     _verdict(
         3,
@@ -100,7 +92,7 @@ def test_criterion_03_entropy_monotone_ingredients():
 
 
 def test_criterion_04_superposed_inputs_break_the_equality():
-    report = check_theorem2(n_samples=720, seed=0, theta=math.pi / 4.0)
+    report = run_suite("theorem2", n_samples=720, seed=0)
     _verdict(
         4,
         report.passed,
@@ -111,7 +103,7 @@ def test_criterion_04_superposed_inputs_break_the_equality():
 
 
 def test_criterion_05_auxiliary_magic_bound():
-    report = check_theorem3(n_samples=10_000, seed=0)
+    report = run_suite("theorem3", n_samples=10_000, seed=0)
     _verdict(
         5,
         report.passed,
@@ -200,7 +192,7 @@ def test_criterion_08_reduced_scale_experiment():
 
 
 def test_criterion_09_geometry_certificate_vs_dense_scan():
-    report = check_geometry(n_samples=1000, seed=0, scan_points=10_000)
+    report = run_suite("geometry", n_samples=1000, seed=0)
     _verdict(
         9,
         report.passed,

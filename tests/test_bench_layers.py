@@ -1,17 +1,23 @@
-"""Tripwire for the traced search layer of the benchmark.
+"""Tripwire for the names the benchmark calls.
 
 `bench/layers.py` wraps `optimize` functions by name and counts the rows of
 `_objective_batch` through its first parameter, `params`.  A rename or
 deletion here would silently drop those per-layer metrics, so this test
 imports the layer table (without writing bytecode next to it) and checks
 every `optimize` target against the package.
+
+`bench/workloads.py` and `bench/setup_probe.py` call package attributes by
+name, and the verify workload rebinds `checks.scan_polytope_crossings` to
+count the geometry suite's scans; those names are checked here too.
 """
 import importlib
 import inspect
 import sys
 from pathlib import Path
 
-from magicbroadcast import optimize
+import pytest
+
+from magicbroadcast import checks, optimize
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -38,3 +44,34 @@ def test_every_traced_optimize_target_resolves(monkeypatch):
     assert missing == []
     first = next(iter(inspect.signature(optimize._objective_batch).parameters))
     assert first == "params"
+
+
+BENCH_NAMES = {
+    "checks": ("run_suite", "scan_polytope_crossings"),
+    "cli": ("build_parser", "main", "cmd_magic", "cmd_clone", "cmd_geometry"),
+    "errors": ("MagicBroadcastError",),
+    "measures": ("rom_lp_oracle",),
+    "optimize": ("OptimizerConfig", "batch_experiment", "build_unitary"),
+    "stabilizers": ("clifford_group_1q", "pauli_matrices", "stabilizer_states"),
+    "states": ("DensityMatrix", "haar_random_pure", "partial_trace",
+               "t_state", "t_perp_state", "h_state"),
+}
+
+
+@pytest.mark.parametrize("module", sorted(BENCH_NAMES))
+def test_every_name_the_workloads_call_resolves(module):
+    mod = importlib.import_module(f"magicbroadcast.{module}")
+    assert [a for a in BENCH_NAMES[module] if not hasattr(mod, a)] == []
+
+
+def test_geometry_suite_scans_through_the_checks_global(monkeypatch):
+    calls = []
+    original = checks.scan_polytope_crossings
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(checks, "scan_polytope_crossings", counted)
+    assert checks.run_suite("geometry", n_samples=5, seed=1).passed
+    assert len(calls) == 2 * 5

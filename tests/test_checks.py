@@ -5,18 +5,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from magicbroadcast import checks
+from magicbroadcast import checks, measures
 from magicbroadcast import tolerances as tol
 from magicbroadcast.checks import (
     VerificationReport,
-    check_convexity,
+    haar_amps,
     random_qubit_bloch,
     run_suite,
     sample_bloch_on_levels,
     suite_names,
 )
 from magicbroadcast.errors import InvalidInputError, MagicBroadcastError
-from magicbroadcast.states import BlochVector
+from magicbroadcast.measures import rom_qubit, sre2_pure
+from magicbroadcast.stabilizers import clifford_group_1q
+from magicbroadcast.states import BlochVector, PureState
+from test_planted_faults import _plant
 
 
 def test_suite_names_are_sorted_and_complete():
@@ -83,7 +86,63 @@ def test_batched_convexity_matches_the_per_sample_loop(seed):
             1.0, np.abs(b2).sum()
         )
         worst = max(worst, mixed - bound)
-    assert check_convexity(n_samples=200, seed=seed).max_violation == worst
+    assert run_suite("convexity", n_samples=200, seed=seed).max_violation == worst
+
+
+def _loop_clifford(amps, indices) -> np.ndarray:
+    """The per-sample Clifford-invariance loop through the object API."""
+    group = clifford_group_1q()
+    out = []
+    for a, k in zip(amps, indices):
+        psi = PureState(a)
+        rotated = PureState(group[k] @ psi.amps)
+        out.append(max(
+            abs(sre2_pure(rotated, 1) - sre2_pure(psi, 1)),
+            abs(rom_qubit(rotated.density()) - rom_qubit(psi.density())),
+        ))
+    return np.array(out)
+
+
+def _loop_additivity(psis, phis) -> np.ndarray:
+    """The per-sample M2-additivity loop through the object API."""
+    out = []
+    for a, b in zip(psis, phis):
+        psi, phi = PureState(a), PureState(b)
+        joint = sre2_pure(PureState(np.kron(psi.amps, phi.amps)), 2)
+        out.append(abs(joint - sre2_pure(psi, 1) - sre2_pure(phi, 1)))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_batched_clifford_matches_the_per_sample_loop(seed):
+    rng = np.random.default_rng(seed)
+    amps = haar_amps(rng, 200, 2)                   # the suite's own draws
+    indices = rng.integers(len(clifford_group_1q()), size=200)
+    batched = checks._clifford(np.random.default_rng(seed), 200)
+    np.testing.assert_allclose(
+        batched, _loop_clifford(amps, indices), rtol=0, atol=1e-14
+    )
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_batched_additivity_matches_the_per_sample_loop(seed):
+    rng = np.random.default_rng(seed)
+    psis, phis = haar_amps(rng, 200, 2), haar_amps(rng, 200, 2)
+    batched = checks._additivity(np.random.default_rng(seed), 200)
+    np.testing.assert_allclose(
+        batched, _loop_additivity(psis, phis), rtol=0, atol=1e-14
+    )
+
+
+@pytest.mark.parametrize("name", ["clifford", "additivity", "monotone"])
+def test_a_nan_from_the_sre2_core_fails_the_suite(monkeypatch, name):
+    def nan(amps, n):
+        return np.full(amps.shape[:-1], np.nan)
+
+    _plant(monkeypatch, measures.sre2_pure_batch, nan)
+    report = run_suite(name, n_samples=50)
+    assert math.isnan(report.max_violation)
+    assert not report.passed
 
 
 # ---------------------------------------------------------------------------

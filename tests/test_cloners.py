@@ -289,6 +289,25 @@ def test_superposition_closed_form_rejects_non_finite_angles(theta, zeta):
             superposition_magic(theta, zeta)
 
 
+non_finite = st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+@given(non_finite, angles, st.integers(0, 5))
+def test_cloner_closed_forms_refuse_non_finite_input(bad, good, which):
+    calls = [
+        lambda: bh_magic(BHParams(0.1, 0.1), bad, good),
+        lambda: bh_magic(BHParams(0.1, 0.1), np.array([good, bad]), good),
+        lambda: m_ratio(BHParams(0.1, 0.1), good, bad),
+        lambda: wz_output_magic(T_REF, bad),
+        lambda: WZParams(bad, good),
+        lambda: WZParams(good, bad).reference_magic(),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInputError, match="finite"):
+            calls[which]()
+
+
 def test_broadcaster_spec_requires_matching_output_magic():
     spec = maximal_magic_spec()
     bad = t_state().density()       # magic sqrt(3), fine

@@ -35,7 +35,6 @@ from magicbroadcast.states import (
     haar_random_pure,
     partial_trace,
     t_state,
-    tensor,
 )
 
 ball_coords = st.floats(-0.57, 0.57, allow_nan=False)
@@ -161,7 +160,7 @@ def test_a_dimension_that_does_not_match_n_qubits_is_refused(call):
 
 def test_sre2_additivity_spot_check():
     psi, phi = t_state(), h_state()
-    joint = sre2_pure(tensor(psi, phi), 2)
+    joint = sre2_pure(PureState(np.kron(psi.amps, phi.amps)), 2)
     assert joint == pytest.approx(
         sre2_pure(psi, 1) + sre2_pure(phi, 1), abs=1e-12
     )

@@ -25,7 +25,6 @@ from magicbroadcast.states import (
     haar_random_pure,
     partial_trace,
     t_state,
-    tensor,
 )
 
 _TWO_PI = 2.0 * math.pi
@@ -84,7 +83,7 @@ def test_outcome_reduced_states_match_unitary_action():
     outcome = isres_optimize("magic", psi, FAST_CFG)
     u = build_unitary(outcome.params)
     joint = DensityMatrix(
-        u @ tensor(psi, PureState([1.0, 0.0])).density().mat @ u.conj().T
+        u @ PureState(np.kron(psi.amps, [1.0, 0.0])).density().mat @ u.conj().T
     )
     sys_rho = partial_trace(joint, 0)
     aux_rho = partial_trace(joint, 1)

@@ -14,7 +14,7 @@ import sys
 import numpy as np
 import pytest
 
-from magicbroadcast import checks, cloners, measures, polytope, states
+from magicbroadcast import checks, cloners, measures, polytope, stabilizers, states
 from magicbroadcast.checks import run_suite
 
 
@@ -130,6 +130,47 @@ def test_monotone_catches_sre2_extended_without_purity_normalisation(
     report = run_suite("monotone", n_samples=200)
     assert not report.passed
     assert report.max_violation > 0.1
+
+
+def _expectations(amps, n):
+    """<psi|P|psi> for every Pauli string P, computed as the shipped core does."""
+    return np.einsum(
+        "pij,...i,...j->...p", stabilizers.pauli_matrices(n), amps.conj(), amps
+    ).real
+
+
+def test_clifford_catches_sre2_without_the_y_paulis(monkeypatch):
+    def no_y(amps, n):
+        keep = [p for p in range(4 ** n) if "2" not in np.base_repr(p, 4)]
+        return measures._m2(_expectations(amps, n)[..., keep], 2 ** n)
+
+    assert run_suite("clifford", n_samples=200).passed
+    _plant(monkeypatch, measures.sre2_pure_batch, no_y)
+    report = run_suite("clifford", n_samples=200)
+    assert not report.passed
+    assert report.max_violation > 0.1
+
+
+def test_additivity_catches_sre2_normalised_by_two_not_two_to_the_n(monkeypatch):
+    def by_two(amps, n):
+        return measures._m2(_expectations(amps, n), 2)
+
+    assert run_suite("additivity", n_samples=200).passed
+    _plant(monkeypatch, measures.sre2_pure_batch, by_two)
+    report = run_suite("additivity", n_samples=200)
+    assert not report.passed
+    assert report.max_violation > 0.1
+
+
+def test_convexity_catches_rom_under_a_square_root(monkeypatch):
+    def rooted(bloch):
+        return np.sqrt(np.maximum(1.0, np.abs(bloch).sum(axis=-1)))
+
+    assert run_suite("convexity", n_samples=200).passed
+    _plant(monkeypatch, measures.rom_batch, rooted)
+    report = run_suite("convexity", n_samples=200)
+    assert not report.passed
+    assert report.max_violation > 1e-3
 
 
 def test_sweep_lp_consistency_catches_bh_without_abs_on_sin_zeta(monkeypatch):

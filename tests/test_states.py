@@ -16,7 +16,6 @@ from magicbroadcast.states import (
     BlochVector,
     DensityMatrix,
     PureState,
-    apply_unitary,
     bloch_from_density,
     density_from_bloch,
     h_state,
@@ -26,7 +25,6 @@ from magicbroadcast.states import (
     superpose_batch,
     t_perp_state,
     t_state,
-    tensor,
 )
 
 angles = st.floats(0.0, 2.0 * math.pi, allow_nan=False)
@@ -114,7 +112,7 @@ def test_haar_moments_match_uniform_bloch():
 def test_partial_trace_of_product_recovers_factors():
     rng = np.random.default_rng(1)
     psi, phi = haar_random_pure(2, rng), haar_random_pure(2, rng)
-    joint = tensor(psi, phi).density()
+    joint = PureState(np.kron(psi.amps, phi.amps)).density()
     assert np.allclose(
         partial_trace(joint, 0).mat, psi.density().mat, atol=1e-12
     )
@@ -129,14 +127,6 @@ def test_partial_traces_share_spectrum_on_pure_states():
     ev_a = np.sort(np.linalg.eigvalsh(partial_trace(rho, 0).mat))
     ev_b = np.sort(np.linalg.eigvalsh(partial_trace(rho, 1).mat))
     assert np.allclose(ev_a, ev_b, atol=1e-12)
-
-
-def test_apply_unitary_on_pure_and_mixed():
-    had = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
-    plus = apply_unitary(had, PureState([1.0, 0.0]))
-    assert np.allclose(plus.amps, [1 / math.sqrt(2), 1 / math.sqrt(2)])
-    rho = apply_unitary(had, DensityMatrix(np.eye(2) / 2.0))
-    assert np.allclose(rho.mat, np.eye(2) / 2.0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
