@@ -55,7 +55,6 @@ from .cloners import (
 from .optimize import (
     BroadcastOutcome,
     OptimizerConfig,
-    UnitaryParams15,
     batch_experiment,
     build_unitary,
     isres_optimize,

@@ -21,7 +21,7 @@ from .errors import InvalidInputError, MagicBroadcastError
 from .measures import rom_batch, rom_lp_batch, sre2_extended_batch, sre2_pure_batch
 from .polytope import broadcast_geometry_certificate, scan_polytope_crossings
 from .stabilizers import clifford_group_1q
-from .states import BlochVector, pure_bloch_batch
+from .states import BlochVector, haar_amps, pure_bloch_batch
 
 _SQRT3 = math.sqrt(3.0)
 
@@ -44,7 +44,9 @@ class VerificationReport:
             "schema": 1,
             "check_name": self.check_name,
             "samples": self.samples,
-            "max_violation": self.max_violation,
+            # JSON has no NaN or infinity; a non-finite worst violation is null
+            "max_violation": (self.max_violation
+                              if math.isfinite(self.max_violation) else None),
             "tolerance": self.tolerance,
             "pass": self.passed,
             "seed": self.seed,
@@ -56,21 +58,9 @@ class VerificationReport:
 # random-instance helpers
 # ---------------------------------------------------------------------------
 
-def haar_amps(rng, n: int, dim: int) -> np.ndarray:
-    """Amplitudes of n Haar-random pure states, one unit row each: (n, dim)."""
-    z = rng.standard_normal((n, dim)) + 1j * rng.standard_normal((n, dim))
-    z /= np.linalg.norm(z, axis=1, keepdims=True)
-    return z
-
-
 def random_qubit_bloch(rng, n: int, mixed_fraction: float = 0.5) -> np.ndarray:
     """Bloch vectors of random qubit states: Haar-pure plus uniform-ball mixed."""
-    z = haar_amps(rng, n, 2)
-    bloch = np.empty((n, 3))
-    off = z[:, 0] * z[:, 1].conj()
-    bloch[:, 0] = 2.0 * off.real
-    bloch[:, 1] = -2.0 * off.imag
-    bloch[:, 2] = np.abs(z[:, 0]) ** 2 - np.abs(z[:, 1]) ** 2
+    bloch = pure_bloch_batch(haar_amps(rng, n, 2))
     n_mixed = int(n * mixed_fraction)
     if n_mixed:
         radii = rng.random(n_mixed) ** (1.0 / 3.0)

@@ -161,11 +161,6 @@ def _rows_to_output(header, rows, args) -> int:
     return 0
 
 
-def _sweep_robustness(amps: np.ndarray) -> np.ndarray:
-    """Robustness of every (n, 2) sweep input row in one call of the core."""
-    return rom_batch(pure_bloch_batch(amps))
-
-
 def _sweep_rows(columns) -> list:
     """Rows of Python floats (they format faster than numpy scalars)."""
     return np.column_stack(columns).tolist()
@@ -208,7 +203,7 @@ def cmd_clone(args) -> int:
         amps = superpose_batch(
             params.reference(), params.reference_perp(), thetas, args.zeta
         )
-        input_magic = _sweep_robustness(amps)
+        input_magic = rom_batch(pure_bloch_batch(amps))
         output_magic = wz_output_magic(params, thetas)
         columns = (thetas, input_magic, output_magic, output_magic / input_magic)
         return _rows_to_output(
@@ -221,7 +216,7 @@ def cmd_clone(args) -> int:
     zetas = _sweep_grid(args.sweep_points)
     columns = (
         zetas,
-        _sweep_robustness(bh_input_amps(args.theta, zetas)),
+        rom_batch(pure_bloch_batch(bh_input_amps(args.theta, zetas))),
         bh_magic(params, args.theta, zetas),
         m_ratio(params, args.theta, zetas),
     )

@@ -19,7 +19,6 @@ from .measures import rom_batch, rom_qubit
 from .states import (
     DensityMatrix,
     PureState,
-    bloch_batch,
     check_finite_angles,
     pure_bloch_batch,
     superpose_batch,
@@ -72,7 +71,6 @@ class WZParams:
 
 @dataclass(frozen=True)
 class WZCheck:
-    perfect: bool
     input_magic: float
     output_magic: float
     theta: float
@@ -114,7 +112,6 @@ def wz_state_check(p: WZParams, state: PureState) -> WZCheck:
     input_magic = rom_qubit(state.density())
     output_magic = overlap * p.reference_magic()
     return WZCheck(
-        perfect=abs(input_magic - output_magic) <= tol.BROADCAST_EQUALITY,
         input_magic=input_magic,
         output_magic=output_magic,
         theta=theta,
@@ -235,25 +232,29 @@ def bh_low_magic_interval(
 class BroadcasterSpec:
     """A machine that perfectly broadcasts a fixed orthogonal reference pair.
 
-    `sys_out` / `aux_out` hold the reduced outputs for each reference input.
-    All four outputs must carry the reference magic exactly.
+    `outputs[k, j]` is the Bloch vector of reduced output k (0 system,
+    1 auxiliary) for reference input j.  All four outputs must carry the
+    reference magic exactly.
     """
 
-    ref_in: tuple          # (PureState, PureState), orthogonal
-    sys_out: tuple         # (DensityMatrix, DensityMatrix)
-    aux_out: tuple         # (DensityMatrix, DensityMatrix)
+    ref_in: tuple          # (PureState, PureState), orthogonal qubit states
+    outputs: np.ndarray    # (2, 2, 3) Bloch vectors: (sys, aux) x (psi, perp)
 
     def __post_init__(self):
         psi, perp = self.ref_in
-        if abs(complex(np.vdot(psi.amps, perp.amps))) > tol.ORTHOGONALITY:
-            raise InvalidSpecError("reference states are not orthogonal")
-        ref_magic = rom_qubit(psi.density())
-        outputs = list(self.sys_out) + list(self.aux_out)
-        for rho in outputs:
-            if abs(rom_qubit(rho) - ref_magic) > tol.BROADCAST_EQUALITY:
-                raise InvalidSpecError(
-                    "output magic does not match the reference magic"
-                )
+        qubits = psi.dim == perp.dim == 2
+        if not qubits or abs(np.vdot(psi.amps, perp.amps)) > tol.ORTHOGONALITY:
+            raise InvalidSpecError("reference states are not orthogonal qubit states")
+        outputs = np.array(self.outputs, dtype=float)
+        outputs.setflags(write=False)
+        object.__setattr__(self, "outputs", outputs)
+        if outputs.shape != (2, 2, 3):
+            raise InvalidSpecError(f"outputs must have shape (2, 2, 3), got {outputs.shape}")
+        if not np.all(np.vecdot(outputs, outputs) <= 1.0 + tol.BLOCH_BALL):  # rejects NaN
+            raise InvalidSpecError("an output lies outside the Bloch ball")
+        magic = rom_batch(np.vstack([pure_bloch_batch(psi.amps), outputs.reshape(4, 3)]))
+        if not np.all(np.abs(magic[1:] - magic[0]) <= tol.BROADCAST_EQUALITY):
+            raise InvalidSpecError("output magic does not match the reference magic")
 
     def reference_magic(self) -> float:
         return rom_qubit(self.ref_in[0].density())
@@ -283,11 +284,8 @@ def unrestricted_broadcast_batch(alpha, beta, sys_bloch, aux_bloch) -> tuple:
 def maximal_magic_spec() -> BroadcasterSpec:
     """Broadcaster designed for the T-state pair with product outputs."""
     psi, perp = t_state(), t_perp_state()
-    return BroadcasterSpec(
-        ref_in=(psi, perp),
-        sys_out=(psi.density(), perp.density()),
-        aux_out=(psi.density(), perp.density()),
-    )
+    refs = pure_bloch_batch(np.array([psi.amps, perp.amps]))
+    return BroadcasterSpec(ref_in=(psi, perp), outputs=np.stack([refs, refs]))
 
 
 def superposition_bloch(theta, zeta) -> np.ndarray:
@@ -339,11 +337,9 @@ def theorem2_falsify(theta: float, zeta_grid) -> Theorem2Report:
     amps = superpose_batch(*spec.ref_in, theta, zetas)
     direct = rom_batch(pure_bloch_batch(amps))
     closed = superposition_magic(theta, zetas)
-    refs = bloch_batch(np.array([[rho.mat for rho in spec.sys_out],
-                                 [rho.mat for rho in spec.aux_out]]))
     _, aux = unrestricted_broadcast_batch(
         math.cos(theta / 2.0), np.exp(1j * zetas) * math.sin(theta / 2.0),
-        refs[0], refs[1],
+        *spec.outputs,
     )
     outputs = rom_batch(aux)
     gaps = np.abs(closed - outputs)

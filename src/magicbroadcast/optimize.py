@@ -54,25 +54,13 @@ _PHASE_SIGNS = np.array(
 )
 
 
-@dataclass(frozen=True)
-class UnitaryParams15:
-    """Four local Z-Y-Z Euler triples plus the three interaction angles."""
-
-    su2_angles: tuple       # ((k1,l1,n1), ..., (k4,l4,n4))
-    core_angles: tuple      # (alpha, beta, delta)
-
-    @classmethod
-    def from_vector(cls, vec) -> "UnitaryParams15":
-        vec = [float(v) for v in vec]
-        if len(vec) != N_PARAMS:
-            raise InvalidInputError(f"expected {N_PARAMS} angles, got {len(vec)}")
-        triples = tuple(tuple(vec[3 * i : 3 * i + 3]) for i in range(4))
-        return cls(su2_angles=triples, core_angles=tuple(vec[12:]))
-
-    def to_vector(self) -> np.ndarray:
-        flat = [a for triple in self.su2_angles for a in triple]
-        flat.extend(self.core_angles)
-        return np.array(flat)
+def _chart_angles(params) -> np.ndarray:
+    """The 15 chart angles as a float vector, refusing any other shape: four
+    local Z-Y-Z Euler triples (kappa, lambda, nu), then (alpha, beta, delta)."""
+    angles = np.asarray(params, dtype=float)
+    if angles.shape != (N_PARAMS,):
+        raise InvalidInputError(f"expected {N_PARAMS} angles, got shape {angles.shape}")
+    return angles
 
 
 def _chart_factors(p) -> tuple:
@@ -128,13 +116,13 @@ def _fidelity_batch_2x2(rho: np.ndarray, psi_amps: np.ndarray) -> np.ndarray:
     return np.einsum("i,...ij,j->...", psi_amps.conj(), rho, psi_amps).real
 
 
-def build_unitary(p: UnitaryParams15) -> np.ndarray:
-    """(U3 x U4) . core . (U1 x U2), a 4x4 unitary.
+def build_unitary(params) -> np.ndarray:
+    """(U3 x U4) . core . (U1 x U2), a 4x4 unitary, from the 15 chart angles.
 
     The core is `_BELL` diag(phases) `_BELL`^H, the matrix `_evolved_batch`
     applies to its rows.
     """
-    u, phases = _chart_factors(p.to_vector())
+    u, phases = _chart_factors(_chart_angles(params))
     core = np.einsum("ik,k,jk->ij", _BELL, phases, _BELL.conj())
     return np.kron(u[2], u[3]) @ core @ np.kron(u[0], u[1])
 
@@ -185,7 +173,7 @@ class OptimizerConfig:
 
 @dataclass(frozen=True)
 class BroadcastOutcome:
-    params: UnitaryParams15
+    params: tuple               # the 15 chart angles, as floats
     objective_value: float
     sys_fidelity: float
     aux_fidelity: float
@@ -199,7 +187,7 @@ class BroadcastOutcome:
     def to_json(self) -> dict:
         return {
             "schema": 1,
-            "params": [float(v) for v in self.params.to_vector()],
+            "params": list(self.params),
             "objective_value": self.objective_value,
             "sys_fidelity": self.sys_fidelity,
             "aux_fidelity": self.aux_fidelity,
@@ -296,19 +284,18 @@ def isres_optimize(
         if best_f <= cfg.epsilon:
             break
 
-    params = UnitaryParams15.from_vector(best_x)
     rho_sys, rho_aux = _evolved_batch(best_x[None, :], psi_amps)
     sys_rho = DensityMatrix(rho_sys[0])
     aux_rho = DensityMatrix(rho_aux[0])
     return BroadcastOutcome(
-        params=params,
+        params=tuple(best_x.tolist()),
         objective_value=best_f,
         sys_fidelity=float(_fidelity_batch_2x2(rho_sys, psi_amps)[0]),
         aux_fidelity=float(_fidelity_batch_2x2(rho_aux, psi_amps)[0]),
         sys_magic=rom_qubit(sys_rho),
         aux_magic=rom_qubit(aux_rho),
         input_magic=rom_qubit(psi.density()),
-        magic_power=magic_power(build_unitary(params)),
+        magic_power=magic_power(build_unitary(best_x)),
         evals_used=used,
         converged=best_f <= cfg.epsilon,
     )
@@ -317,7 +304,7 @@ def isres_optimize(
 def outcome_from_json(data: dict) -> BroadcastOutcome:
     """Rebuild a BroadcastOutcome from its to_json() payload."""
     return BroadcastOutcome(
-        params=UnitaryParams15.from_vector(np.asarray(data["params"], float)),
+        params=tuple(_chart_angles(data["params"]).tolist()),
         objective_value=float(data["objective_value"]),
         sys_fidelity=float(data["sys_fidelity"]),
         aux_fidelity=float(data["aux_fidelity"]),

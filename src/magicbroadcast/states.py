@@ -109,6 +109,20 @@ def _as_rng(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
+def _unit_rows(amps: np.ndarray) -> np.ndarray:
+    """Divide each row by its norm in place: the two real dot products that
+    `np.linalg.norm` takes of one vector, so a row scales bit for bit as there."""
+    norm = np.sqrt(np.vecdot(amps.real, amps.real) + np.vecdot(amps.imag, amps.imag))
+    amps /= norm[..., None]
+    return amps
+
+
+def haar_amps(rng, n: int, dim: int) -> np.ndarray:
+    """Amplitudes of n Haar-random pure states, one unit row each: (n, dim)."""
+    z = rng.standard_normal((n, dim)) + 1j * rng.standard_normal((n, dim))
+    return _unit_rows(z)
+
+
 def haar_random_pure(dim: int, seed) -> PureState:
     """Draw a Haar-uniform pure state of the given dimension.
 
@@ -116,9 +130,7 @@ def haar_random_pure(dim: int, seed) -> PureState:
     """
     if dim < 2:
         raise InvalidDimensionError(f"dim must be >= 2, got {dim}")
-    rng = _as_rng(seed)
-    z = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return PureState(z / np.linalg.norm(z))
+    return PureState(haar_amps(_as_rng(seed), 1, dim)[0])
 
 
 def bloch_from_density(rho: DensityMatrix) -> BlochVector:
@@ -173,22 +185,6 @@ def h_state() -> PureState:
     return PureState([math.cos(math.pi / 8), math.sin(math.pi / 8)])
 
 
-def _superposition(psi: PureState, psi_perp: PureState, thetas, zetas):
-    """Unit rows cos(theta/2) psi + e^{i zeta} sin(theta/2) psi_perp, basis checked."""
-    if psi.dim != psi_perp.dim:
-        raise InvalidDimensionError("basis states have different dimensions")
-    overlap = np.vdot(psi.amps, psi_perp.amps)
-    if abs(overlap) > tol.ORTHOGONALITY:
-        raise InvalidBasisError(f"basis states are not orthogonal: <a|b> = {overlap!r}")
-    half = np.asarray(thetas, dtype=float)[..., None] / 2.0
-    phase = np.exp(1j * np.asarray(zetas, dtype=float)[..., None])
-    amps = np.cos(half) * psi.amps + phase * np.sin(half) * psi_perp.amps
-    # the two real dot products of np.linalg.norm, row by row (bit-identical)
-    norm = np.sqrt(np.vecdot(amps.real, amps.real) + np.vecdot(amps.imag, amps.imag))
-    amps /= norm[..., None]
-    return amps
-
-
 def check_finite_angles(*angles):
     """Raise `InvalidInputError` naming the first non-finite angle."""
     for values in angles:
@@ -209,7 +205,14 @@ def superpose_batch(
     pair.  The basis is checked once for the whole batch.
     """
     check_finite_angles(thetas, zetas)
-    amps = _superposition(psi, psi_perp, thetas, zetas)
+    if psi.dim != psi_perp.dim:
+        raise InvalidDimensionError("basis states have different dimensions")
+    overlap = np.vdot(psi.amps, psi_perp.amps)
+    if abs(overlap) > tol.ORTHOGONALITY:
+        raise InvalidBasisError(f"basis states are not orthogonal: <a|b> = {overlap!r}")
+    half = np.asarray(thetas, dtype=float)[..., None] / 2.0
+    phase = np.exp(1j * np.asarray(zetas, dtype=float)[..., None])
+    amps = _unit_rows(np.cos(half) * psi.amps + phase * np.sin(half) * psi_perp.amps)
     norm_sq = np.vecdot(amps, amps).real
     if not np.all(np.abs(norm_sq - 1.0) <= tol.NORM):      # also rejects NaN
         raise NotAStateError("superposition is not normalized")
@@ -221,11 +224,9 @@ def superpose(
 ) -> PureState:
     """cos(theta/2) |psi> + e^{i zeta} sin(theta/2) |psi_perp>.
 
-    One row of `superpose_batch`; `PureState` makes its norm check.
+    One row of `superpose_batch`.
     """
-    if not (math.isfinite(theta) and math.isfinite(zeta)):
-        raise InvalidInputError(f"angles must be finite, got {theta!r}, {zeta!r}")
-    return PureState(_superposition(psi, psi_perp, theta, zeta))
+    return PureState(superpose_batch(psi, psi_perp, theta, zeta))
 
 
 def partial_trace(rho: DensityMatrix, keep: int) -> DensityMatrix:

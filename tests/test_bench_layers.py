@@ -8,7 +8,9 @@ every `optimize` target against the package.
 
 `bench/workloads.py` and `bench/setup_probe.py` call package attributes by
 name, and the verify workload rebinds `checks.scan_polytope_crossings` to
-count the geometry suite's scans; those names are checked here too.
+count the geometry suite's scans; those names are checked here too.  The
+search workload's check rebuilds each outcome's unitary with
+`build_unitary(outcome.params)`.
 """
 import importlib
 import inspect
@@ -17,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from magicbroadcast import checks, optimize
+from magicbroadcast import checks, cloners, measures, optimize
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -48,6 +50,7 @@ def test_every_traced_optimize_target_resolves(monkeypatch):
 
 BENCH_NAMES = {
     "checks": ("run_suite", "scan_polytope_crossings"),
+    "cloners": ("BroadcasterSpec", "theorem2_falsify"),
     "cli": ("build_parser", "main", "cmd_magic", "cmd_clone", "cmd_geometry"),
     "errors": ("MagicBroadcastError",),
     "measures": ("rom_lp_oracle",),
@@ -75,3 +78,14 @@ def test_geometry_suite_scans_through_the_checks_global(monkeypatch):
     monkeypatch.setattr(checks, "scan_polytope_crossings", counted)
     assert checks.run_suite("geometry", n_samples=5, seed=1).passed
     assert len(calls) == 2 * 5
+
+
+def test_the_traced_spec_hook_resolves():
+    # wrapped by name as `cloners.BroadcasterSpec.init`
+    assert callable(getattr(cloners.BroadcasterSpec, "__post_init__", None))
+
+
+def test_build_unitary_takes_the_params_of_a_search_outcome():
+    cfg = optimize.OptimizerConfig(population=4, max_evals=8, restarts=1)
+    (outcome,) = optimize.batch_experiment(1, "magic", cfg).per_sample
+    assert measures.magic_power(optimize.build_unitary(outcome.params)) == outcome.magic_power

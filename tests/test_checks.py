@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -9,16 +10,16 @@ from magicbroadcast import checks, measures
 from magicbroadcast import tolerances as tol
 from magicbroadcast.checks import (
     VerificationReport,
-    haar_amps,
     random_qubit_bloch,
     run_suite,
     sample_bloch_on_levels,
     suite_names,
 )
+from magicbroadcast.cli import main
 from magicbroadcast.errors import InvalidInputError, MagicBroadcastError
 from magicbroadcast.measures import rom_qubit, sre2_pure
 from magicbroadcast.stabilizers import clifford_group_1q
-from magicbroadcast.states import BlochVector, PureState
+from magicbroadcast.states import BlochVector, PureState, haar_amps
 from test_planted_faults import _plant
 
 
@@ -143,6 +144,21 @@ def test_a_nan_from_the_sre2_core_fails_the_suite(monkeypatch, name):
     report = run_suite(name, n_samples=50)
     assert math.isnan(report.max_violation)
     assert not report.passed
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_a_nan_verdict_prints_valid_json(monkeypatch, capsys):
+    def nan(amps, n):
+        return np.full(amps.shape[:-1], np.nan)
+
+    _plant(monkeypatch, measures.sre2_pure_batch, nan)
+    assert main(["verify", "clifford", "--json", "--samples", "5"]) == 1
+    report = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    assert report["pass"] is False
+    assert report["max_violation"] is None
 
 
 # ---------------------------------------------------------------------------

@@ -203,6 +203,23 @@ def test_experiment_writes_and_resumes(tmp_path, capsys):
     assert json.loads(out)["n_samples"] == 3
 
 
+def test_experiment_resume_with_the_wrong_angle_count_is_usage_error(tmp_path, capsys):
+    out_dir = tmp_path / "run"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"population": 4, "max_evals": 8, "restarts": 1}))
+    argv = ("experiment", "magic", "--samples", "1", "--out", str(out_dir),
+            "--config", str(cfg))
+    assert run(capsys, *argv)[0] == 0
+    outcomes = out_dir / "magic_outcomes.jsonl"
+    line = json.loads(outcomes.read_text())
+    line["params"] = line["params"][:14]
+    outcomes.write_text(json.dumps(line) + "\n")
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error:") and "15 angles" in err
+    assert out == ""
+
+
 def test_outputs_written_to_file(tmp_path, capsys):
     target = tmp_path / "report.json"
     code, out, _ = run(capsys, "magic", "T", "--json", "--out", str(target))

@@ -31,7 +31,7 @@ from magicbroadcast.cloners import (
     wz_output_magic,
     wz_state_check,
 )
-from magicbroadcast.errors import InvalidInputError, InvalidMachineError
+from magicbroadcast.errors import InvalidInputError, InvalidMachineError, InvalidSpecError
 from magicbroadcast.measures import rom_batch, rom_lp_batch, rom_qubit
 from magicbroadcast.states import (
     T_POLAR_ANGLE,
@@ -153,17 +153,11 @@ def test_bh_low_magic_interval_near_small_theta():
 # unrestricted broadcaster
 # ---------------------------------------------------------------------------
 
-def _reference_blochs(spec):
-    """Bloch vectors of the spec's (sys, aux) reference outputs, (2, 2, 3)."""
-    return bloch_batch(np.array([[rho.mat for rho in spec.sys_out],
-                                 [rho.mat for rho in spec.aux_out]]))
-
-
 def test_maximal_magic_spec_reference_and_outputs():
     spec = maximal_magic_spec()
     assert spec.reference_magic() == pytest.approx(math.sqrt(3.0), abs=1e-12)
     sys_out, aux_out = unrestricted_broadcast_batch(
-        1.0, 0.0, *_reference_blochs(spec)
+        1.0, 0.0, *spec.outputs
     )
     assert rom_batch(sys_out) == pytest.approx(math.sqrt(3.0), abs=1e-12)
     assert rom_batch(aux_out) == pytest.approx(math.sqrt(3.0), abs=1e-12)
@@ -208,9 +202,7 @@ def _loop_superposition_magic(theta, zeta):
 
 
 def _loop_unrestricted_broadcast(spec, alpha, beta):
-    refs = bloch_batch(np.array([[rho.mat for rho in spec.sys_out],
-                                 [rho.mat for rho in spec.aux_out]]))
-    outputs = unrestricted_broadcast_batch(alpha, beta, refs[0], refs[1])
+    outputs = unrestricted_broadcast_batch(alpha, beta, *spec.outputs)
     return tuple(density_from_bloch(BlochVector(*m)) for m in outputs)
 
 
@@ -310,13 +302,46 @@ def test_cloner_closed_forms_refuse_non_finite_input(bad, good, which):
 
 def test_broadcaster_spec_requires_matching_output_magic():
     spec = maximal_magic_spec()
-    bad = t_state().density()       # magic sqrt(3), fine
-    with pytest.raises(Exception):
-        BroadcasterSpec(
-            ref_in=spec.ref_in,
-            sys_out=spec.sys_out,
-            aux_out=(h_state().density(), bad),   # sqrt(2) != sqrt(3)
-        )
+    outputs = spec.outputs.copy()
+    outputs[1, 0] = bloch_from_density(h_state().density()).as_array()  # sqrt(2) != sqrt(3)
+    with pytest.raises(InvalidSpecError, match="magic"):
+        BroadcasterSpec(ref_in=spec.ref_in, outputs=outputs)
+
+
+def _t_spec_outputs_with(value) -> np.ndarray:
+    outputs = maximal_magic_spec().outputs.copy()
+    outputs[1, 1] = value
+    return outputs
+
+
+@pytest.mark.parametrize("outputs, match", [
+    (np.zeros((2, 3)), "shape"),
+    (np.zeros((2, 2, 2, 3)), "shape"),
+    (_t_spec_outputs_with([math.sqrt(3.0), 0.0, 0.0]), "Bloch ball"),   # level sqrt(3)
+    (_t_spec_outputs_with(math.nan), "Bloch ball"),
+])
+def test_broadcaster_spec_refuses_bad_outputs(outputs, match):
+    with pytest.raises(InvalidSpecError, match=match):
+        BroadcasterSpec(ref_in=(t_state(), t_perp_state()), outputs=outputs)
+
+
+@pytest.mark.parametrize("ref_in", [
+    (t_state(), h_state()),
+    (PureState([1, 0, 0]), PureState([0, 1, 0])),
+])
+def test_broadcaster_spec_refuses_a_bad_reference_pair(ref_in):
+    outputs = np.zeros((2, 2, 3))
+    with pytest.raises(InvalidSpecError, match="orthogonal qubit"):
+        BroadcasterSpec(ref_in=ref_in, outputs=outputs)
+
+
+def test_broadcaster_spec_outputs_are_a_read_only_copy():
+    refs = maximal_magic_spec().outputs.copy()
+    spec = BroadcasterSpec(ref_in=(t_state(), t_perp_state()), outputs=refs)
+    refs[0, 0] = 0.0
+    assert not np.array_equal(spec.outputs, refs)
+    with pytest.raises(ValueError):
+        spec.outputs[0, 0, 0] = 0.0
 
 
 @settings(max_examples=60)
@@ -325,7 +350,7 @@ def test_auxiliary_magic_never_exceeds_reference(theta, zeta, weight):
     spec = maximal_magic_spec()
     alpha = math.sqrt(weight) * np.exp(1j * zeta)
     beta = math.sqrt(1.0 - weight)
-    _, aux = unrestricted_broadcast_batch(alpha, beta, *_reference_blochs(spec))
+    _, aux = unrestricted_broadcast_batch(alpha, beta, *spec.outputs)
     assert rom_batch(aux) <= spec.reference_magic() + 1e-9
 
 

@@ -10,7 +10,6 @@ from magicbroadcast.optimize import (
     N_PARAMS,
     BroadcastOutcome,
     OptimizerConfig,
-    UnitaryParams15,
     _evolved_batch,
     _objective_batch,
     batch_experiment,
@@ -33,25 +32,17 @@ FAST_CFG = OptimizerConfig(
 )
 
 
-def test_params_round_trip():
-    vec = np.linspace(0.1, 6.0, N_PARAMS)
-    params = UnitaryParams15.from_vector(vec)
-    assert np.allclose(params.to_vector(), vec, atol=1e-15)
-
-
 def test_build_unitary_is_unitary_on_random_vectors():
     rng = np.random.default_rng(0)
     worst = 0.0
     for _ in range(500):
-        u = build_unitary(
-            UnitaryParams15.from_vector(rng.uniform(0, 2 * math.pi, N_PARAMS))
-        )
+        u = build_unitary(rng.uniform(0, 2 * math.pi, N_PARAMS))
         worst = max(worst, np.max(np.abs(u.conj().T @ u - np.eye(4))))
     assert worst <= 1e-12
 
 
 def test_zero_parameters_give_the_identity():
-    u = build_unitary(UnitaryParams15.from_vector(np.zeros(N_PARAMS)))
+    u = build_unitary(np.zeros(N_PARAMS))
     phase = u[0, 0] / abs(u[0, 0])
     assert np.allclose(u / phase, np.eye(4), atol=1e-12)
 
@@ -61,14 +52,13 @@ def test_clifford_core_angles_have_no_magic_power():
     for _ in range(25):
         vec = np.zeros(N_PARAMS)
         vec[12:] = rng.choice([0.0, math.pi / 4.0], size=3)
-        assert magic_power(build_unitary(UnitaryParams15.from_vector(vec))) <= 1e-10
+        assert magic_power(build_unitary(vec)) <= 1e-10
 
 
 def test_objectives_at_identity():
     psi = haar_random_pure(2, 3)
-    identity = UnitaryParams15.from_vector(np.zeros(N_PARAMS))
     # aux output is |0><0|: magic objective equals R(psi) - 1
-    row = identity.to_vector()[None, :]
+    row = np.zeros((1, N_PARAMS))
     expected = rom_qubit(psi.density()) - 1.0
     (magic,) = _objective_batch(row, psi.amps, "magic")
     assert magic == pytest.approx(expected, abs=1e-10)
@@ -111,7 +101,7 @@ def test_optimizer_is_deterministic():
     psi = haar_random_pure(2, 7)
     a = isres_optimize("magic", psi, FAST_CFG)
     b = isres_optimize("magic", psi, FAST_CFG)
-    assert np.array_equal(a.params.to_vector(), b.params.to_vector())
+    assert a.params == b.params
     assert a.objective_value == b.objective_value
     assert a.evals_used == b.evals_used
 
@@ -160,9 +150,7 @@ def test_outcome_json_round_trip():
     outcome = isres_optimize("magic", haar_random_pure(2, 13), FAST_CFG)
     clone = outcome_from_json(outcome.to_json())
     assert isinstance(clone, BroadcastOutcome)
-    assert np.allclose(
-        clone.params.to_vector(), outcome.params.to_vector(), atol=1e-15
-    )
+    assert clone.params == outcome.params
     assert clone.magic_power == pytest.approx(outcome.magic_power, abs=1e-15)
 
 
@@ -366,7 +354,7 @@ def test_fused_kernel_matches_partial_traces_of_the_unitary():
         part = rows[k::len(psis)]
         rho_sys, rho_aux = _evolved_batch(part, psi)
         for row, sys_rho, aux_rho in zip(part, rho_sys, rho_aux):
-            out = build_unitary(UnitaryParams15.from_vector(row)) @ np.kron(psi, [1.0, 0.0])
+            out = build_unitary(row) @ np.kron(psi, [1.0, 0.0])
             w = out.reshape(2, 2)                            # (sys, aux)
             worst = max(worst,
                         np.abs(sys_rho - w @ w.conj().T).max(),
@@ -393,7 +381,7 @@ def test_search_trajectories_match_the_loop_search(objective, monkeypatch):
     monkeypatch.setattr(optimize, "_es_run", _loop_es_run)
     loop = batch_experiment(40, objective, cfg)
     for new, old in zip(fused.per_sample, loop.per_sample):
-        assert np.array_equal(new.params.to_vector(), old.params.to_vector())
+        assert new.params == old.params
         assert new.evals_used == old.evals_used
         assert new.converged == old.converged
         assert new.objective_value == pytest.approx(old.objective_value, rel=0, abs=1e-14)
@@ -432,7 +420,7 @@ def _shipped_core(alpha, beta, delta) -> np.ndarray:
 def _core_of_chart(alpha, beta, delta) -> np.ndarray:
     vec = np.zeros(N_PARAMS)
     vec[12:] = (alpha, beta, delta)
-    return build_unitary(UnitaryParams15.from_vector(vec))
+    return build_unitary(vec)
 
 
 def test_chart_matches_euler_products_around_the_shipped_core():
@@ -443,7 +431,7 @@ def test_chart_matches_euler_products_around_the_shipped_core():
         u = [_euler(*vec[3 * i : 3 * i + 3]) for i in range(4)]
         want = (np.kron(u[2], u[3]) @ _shipped_core(*vec[12:])
                 @ np.kron(u[0], u[1]))
-        got = build_unitary(UnitaryParams15.from_vector(vec))
+        got = build_unitary(vec)
         worst = max(worst, np.abs(got - want).max())
     assert worst <= 1e-13
 

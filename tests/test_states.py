@@ -19,6 +19,7 @@ from magicbroadcast.states import (
     bloch_from_density,
     density_from_bloch,
     h_state,
+    haar_amps,
     haar_random_pure,
     partial_trace,
     superpose,
@@ -99,6 +100,17 @@ def test_haar_sampling_is_deterministic_per_seed():
     assert np.array_equal(a.amps, b.amps)
     c = haar_random_pure(2, 8)
     assert not np.allclose(a.amps, c.amps)
+
+
+@pytest.mark.parametrize("dim", [2, 4])
+def test_haar_random_pure_is_one_row_of_haar_amps(dim):
+    # and bit for bit the vector draw it replaced, which the goldens pin
+    for seed in range(1000):
+        row = haar_amps(np.random.default_rng(seed), 1, dim)[0]
+        assert np.array_equal(haar_random_pure(dim, seed).amps, row)
+        rng = np.random.default_rng(seed)
+        z = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        assert np.array_equal(row, z / np.linalg.norm(z))
 
 
 def test_haar_moments_match_uniform_bloch():
@@ -201,13 +213,13 @@ def test_superpose_batch_checks_the_basis_once():
 @pytest.mark.parametrize("bad", [float("nan"), 0.5, 2.0])
 def test_superpose_batch_rejects_rows_off_the_unit_sphere(monkeypatch, bad):
     # the norm check is written so that a NaN row fails it
-    core = states._superposition
+    core = states._unit_rows
 
-    def off_sphere(*args):
-        amps = core(*args)
+    def off_sphere(amps):
+        amps = core(amps)
         amps[-1] *= bad
         return amps
 
-    monkeypatch.setattr(states, "_superposition", off_sphere)
+    monkeypatch.setattr(states, "_unit_rows", off_sphere)
     with pytest.raises(NotAStateError):
         superpose_batch(t_state(), t_perp_state(), [0.1, 0.2, 0.3], 0.0)
