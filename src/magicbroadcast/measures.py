@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tolerances as tol
-from .errors import InvalidDimensionError, InvalidUnitaryError
+from .errors import InvalidDimensionError, InvalidInputError, InvalidUnitaryError
 from .stabilizers import pauli_matrices, stabilizer_states
 from .states import (
     DensityMatrix,
@@ -89,7 +89,15 @@ def rom_qubit(rho: DensityMatrix) -> float:
 # sum x_i = 1 and matching magnetizations; minimize sum |x_i|. Variables are
 # split x = u - v (u, v >= 0) giving a 12-variable standard-form LP with 4
 # equality constraints, solved exactly by enumerating basic solutions (the
-# constraint matrix is fixed, so all basis inverses are precomputed once).
+# constraint matrix is fixed, so all basis inverses are computed once, on
+# first use).
+#
+# The basic solutions come out of einsum as (4, m, k): basic variable, row,
+# basis.  Feasibility and the objective then run over four contiguous (m, k)
+# slices instead of reducing a trailing axis of length 4.  The objective is
+# added up as ((x0 + x1) + x2) + x3, the order in which numpy's sum reduces
+# that trailing axis, so every value is bit-identical to the (m, k, 4)
+# layout's `sum(axis=2)`.
 # ---------------------------------------------------------------------------
 
 _STAB_BLOCH = np.array(
@@ -118,17 +126,26 @@ def _lp_basis_inverses() -> np.ndarray:
 
 
 def rom_lp_batch(bloch: np.ndarray) -> np.ndarray:
-    """LP-oracle robustness for a batch of Bloch vectors, shape (N, 3)."""
+    """LP-oracle robustness for a batch of finite Bloch vectors, shape (N, 3)."""
+    bloch = np.asarray(bloch, dtype=float)
+    if bloch.ndim != 2 or bloch.shape[1] != 3:
+        raise InvalidInputError(f"expected Bloch vectors of shape (N, 3), got {bloch.shape}")
+    if not np.isfinite(bloch).all():
+        raise InvalidInputError("Bloch vectors must be finite")
     inverses = _lp_basis_inverses()
     rhs = np.hstack([np.ones((len(bloch), 1)), bloch])
     out = np.empty(len(bloch))
     chunk = 2048
     for start in range(0, len(bloch), chunk):
         block = rhs[start : start + chunk]
-        sols = np.einsum("kij,mj->mki", inverses, block)
-        feasible = (sols >= -1e-9).all(axis=2)
-        objective = sols.sum(axis=2)
-        objective[~feasible] = np.inf
+        sols = np.einsum("kij,mj->imk", inverses, block)
+        feasible = sols[0] >= -1e-9
+        for basic in sols[1:]:
+            feasible &= basic >= -1e-9
+        objective = sols[0] + sols[1]
+        objective += sols[2]
+        objective += sols[3]
+        np.copyto(objective, np.inf, where=~feasible)
         out[start : start + chunk] = objective.min(axis=1)
     return out
 

@@ -7,12 +7,13 @@ sign-orthant since the level function is piecewise linear along a segment.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import tolerances as tol
-from .errors import InconsistentReferenceError, InvalidLevelError
+from .errors import InconsistentReferenceError, InvalidInputError, InvalidLevelError
 from .states import BlochVector
 
 _ROOT_DEDUP = 1e-12
@@ -40,8 +41,8 @@ class GeometryCertificate:
 
 
 def _check_level(r: float):
-    if not r >= 1.0:                # also rejects NaN
-        raise InvalidLevelError(f"level must be >= 1, got {r}")
+    if not 1.0 <= r < math.inf:     # also rejects NaN
+        raise InvalidLevelError(f"level must be finite and >= 1, got {r}")
 
 
 def line_polytope_intersections(
@@ -134,15 +135,24 @@ def scan_polytope_crossings(
 ) -> list:
     """Dense-scan oracle: approximate crossing parameters on a uniform grid.
 
-    Independent of the exact solver: it shares no code with
+    Independent of the exact solver: it shares no arithmetic with
     `line_polytope_intersections`, which it validates. Returns, sorted, one t
-    per sign change (or near-zero touch) of the level function. Whole-array
-    numpy, bit-identical to the per-cell loop it replaced.
+    per sign change (or near-zero touch) of the level function. The level
+    function is accumulated one coordinate at a time, |m_0| + |m_1| + |m_2|
+    in that fixed order, then r is subtracted: bit-identical to the
+    per-cell loop it replaced. `points` is an integer >= 2 and r a finite
+    level >= 1.
     """
+    if not isinstance(points, (int, np.integer)) or points < 2:
+        raise InvalidInputError(f"points must be an integer >= 2, got {points!r}")
+    _check_level(r)
     start = b0.as_array()
     delta = b1.as_array() - start
     t = np.linspace(0.0, 1.0, points)
-    values = np.abs(start[None, :] + t[:, None] * delta[None, :]).sum(axis=1) - r
+    values = np.abs(start[0] + t * delta[0])
+    values += np.abs(start[1] + t * delta[1])
+    values += np.abs(start[2] + t * delta[2])
+    values -= r
     step = t[1] - t[0]
     lo, hi = values[:-1], values[1:]
     k = np.flatnonzero((lo == 0.0) | (lo * hi < 0.0))

@@ -1,10 +1,11 @@
 """Tripwire for the names the benchmark calls.
 
-`bench/layers.py` wraps `optimize` functions by name and counts the rows of
-`_objective_batch` through its first parameter, `params`.  A rename or
-deletion here would silently drop those per-layer metrics, so this test
-imports the layer table (without writing bytecode next to it) and checks
-every `optimize` target against the package.
+`bench/layers.py` wraps package functions by name and counts the rows of
+`_objective_batch` and `rom_lp_batch` through their first parameters,
+`params` and `bloch`.  A rename or deletion here would silently drop those
+per-layer metrics, so this test imports the layer table (without writing
+bytecode next to it) and checks every `optimize`, `measures` and `polytope`
+target against the package, and the two oracles' signatures.
 
 `bench/workloads.py` and `bench/setup_probe.py` call package attributes by
 name, and the verify workload rebinds `checks.scan_polytope_crossings` to
@@ -19,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from magicbroadcast import checks, cloners, measures, optimize
+from magicbroadcast import checks, cloners, measures, optimize, polytope
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -46,6 +47,30 @@ def test_every_traced_optimize_target_resolves(monkeypatch):
     assert missing == []
     first = next(iter(inspect.signature(optimize._objective_batch).parameters))
     assert first == "params"
+
+
+TRACED_ORACLES = {
+    "measures": {"rom_lp_batch"},
+    "polytope": {"scan_polytope_crossings", "line_polytope_intersections",
+                 "broadcast_geometry_certificate"},
+}
+
+
+@pytest.mark.parametrize("module", sorted(TRACED_ORACLES))
+def test_every_traced_oracle_target_resolves(monkeypatch, module):
+    layers = _import_layers(monkeypatch)
+    mod = importlib.import_module(f"magicbroadcast.{module}")
+    targets = [t.attr for t in layers.TARGETS if t.module == module]
+    assert set(targets) >= TRACED_ORACLES[module]
+    assert [a for a in targets if not callable(getattr(mod, a, None))] == []
+
+
+def test_the_oracle_signatures_the_layer_table_reads():
+    # `rom_lp_batch` rows are counted through its first parameter, `bloch`
+    lp = inspect.signature(measures.rom_lp_batch).parameters
+    assert next(iter(lp)) == "bloch"
+    scan = inspect.signature(polytope.scan_polytope_crossings).parameters
+    assert list(scan) == ["b0", "b1", "r", "points"]
 
 
 BENCH_NAMES = {

@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 
@@ -6,7 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from magicbroadcast.errors import InvalidDimensionError, InvalidUnitaryError
+from magicbroadcast import measures
+from magicbroadcast.checks import random_qubit_bloch
+from magicbroadcast.errors import (
+    InvalidDimensionError,
+    InvalidInputError,
+    InvalidUnitaryError,
+)
 from magicbroadcast.measures import (
     magic_power,
     magic_report,
@@ -72,6 +79,88 @@ def test_lp_oracle_batch_on_extremal_states():
     assert np.allclose(
         rom_lp_batch(bloch), [1.0, 1.0, math.sqrt(3.0)], atol=1e-10
     )
+
+
+def _axis_sum_lp(bloch):
+    """Reference: the LP oracle with its basic solutions laid out (m, k, 4)
+    and reduced over the trailing axis, kept verbatim."""
+    inverses = measures._lp_basis_inverses()
+    rhs = np.hstack([np.ones((len(bloch), 1)), bloch])
+    out = np.empty(len(bloch))
+    chunk = 2048
+    for start in range(0, len(bloch), chunk):
+        block = rhs[start : start + chunk]
+        sols = np.einsum("kij,mj->mki", inverses, block)
+        feasible = (sols >= -1e-9).all(axis=2)
+        objective = sols.sum(axis=2)
+        objective[~feasible] = np.inf
+        out[start : start + chunk] = objective.min(axis=1)
+    return out
+
+
+_STABILIZER_POINTS = np.vstack([np.eye(3), -np.eye(3)])
+_T_DIRECTIONS = np.array(list(itertools.product([1.0, -1.0], repeat=3))) / math.sqrt(3.0)
+_EDGE_ROWS = np.vstack([
+    _STABILIZER_POINTS,
+    _T_DIRECTIONS,
+    np.zeros((1, 3)),
+    0.5 * _STABILIZER_POINTS,
+    [[-0.0, 0.0, -0.0], [-0.0, -0.0, 1.0], [0.0, -0.0, -1.0], [-0.0, 0.5, 0.5]],
+])
+
+
+def test_lp_oracle_is_bit_identical_to_the_axis_sum_layout():
+    # the draw of acceptance criterion 1, then rows on the polytope's edges
+    draw = random_qubit_bloch(np.random.default_rng(0), 100_000)
+    assert np.array_equal(rom_lp_batch(draw), _axis_sum_lp(draw))
+    assert np.array_equal(rom_lp_batch(_EDGE_ROWS), _axis_sum_lp(_EDGE_ROWS))
+
+
+def test_lp_oracle_is_invariant_under_the_48_signed_permutations():
+    bloch = random_qubit_bloch(np.random.default_rng(7), 2_000)
+    base = rom_lp_batch(bloch)
+    for perm in itertools.permutations(range(3)):
+        for signs in itertools.product([1.0, -1.0], repeat=3):
+            moved = rom_lp_batch(np.array(signs) * bloch[:, list(perm)])
+            assert np.max(np.abs(moved - base)) <= 1e-14
+
+
+def _refuse_before_work(monkeypatch, bloch):
+    def no_work():
+        raise AssertionError("the LP ran on an input it should have refused")
+
+    monkeypatch.setattr(measures, "_lp_basis_inverses", no_work)
+    with pytest.raises(InvalidInputError) as caught:
+        rom_lp_batch(bloch)
+    return str(caught.value)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.lists(ball_coords, min_size=3, max_size=3), min_size=1, max_size=6),
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+    st.data(),
+)
+def test_lp_oracle_refuses_a_non_finite_row(rows, bad, data):
+    bloch = np.array(rows)
+    row = data.draw(st.integers(0, len(rows) - 1))
+    col = data.draw(st.integers(0, 2))
+    bloch[row, col] = bad
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        assert "finite" in _refuse_before_work(monkeypatch, bloch)
+
+
+@pytest.mark.parametrize("bloch", [
+    np.zeros(3), np.zeros((4, 2)), np.zeros((4, 4)), np.zeros((2, 2, 3)),
+    np.zeros((0,)), np.float64(0.5),
+])
+def test_lp_oracle_refuses_a_shape_other_than_n_by_3(monkeypatch, bloch):
+    assert "(N, 3)" in _refuse_before_work(monkeypatch, bloch)
+
+
+def test_lp_oracle_returns_an_empty_batch_for_no_rows():
+    out = rom_lp_batch(np.empty((0, 3)))
+    assert out.shape == (0,)
 
 
 def test_sre2_values():

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,7 +6,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from magicbroadcast.errors import InconsistentReferenceError, InvalidLevelError
+from magicbroadcast.checks import sample_bloch_on_levels
+from magicbroadcast.errors import (
+    InconsistentReferenceError,
+    InvalidInputError,
+    InvalidLevelError,
+)
 from magicbroadcast.polytope import (
     broadcast_geometry_certificate,
     line_polytope_intersections,
@@ -117,9 +123,9 @@ def _scan_cases(rng, n):
             signs = rng.choice([-1.0, 1.0], (2, 3))
             b0, b1 = BlochVector(*(S3 * signs[0])), BlochVector(*(S3 * signs[1]))
             r = SQRT3
-        else:               # a tangent touch near t = 1/2: min level 1
-            b0, b1 = BlochVector(0.5, 0.5, 0.4), BlochVector(0.5, 0.5, -0.4)
-            r = 1.0 + rng.uniform(-2e-4, 2e-4)
+        else:               # a tangent touch near t = 1/2: min level 1.1
+            b0, b1 = BlochVector(0.55, 0.55, 0.4), BlochVector(0.55, 0.55, -0.4)
+            r = 1.1 + rng.uniform(-2e-4, 2e-4)
         points = 10_000 if i < 120 else int(rng.choice([2, 3, 7, 64, 257, 1000]))
         yield b0, b1, r, points
 
@@ -134,6 +140,115 @@ def test_scan_is_bit_identical_to_the_cell_loop():
         touched += len(scanned) == 1 and 0.4 < scanned[0] < 0.6
         ended += scanned[-1:] == [1.0]
     assert touched and ended    # the tangent rule and the end point both fired
+
+
+def _axis_sum_scan(b0, b1, r, points=10_000):
+    """Reference: the whole-array scan that sums the level function over a
+    (points, 3) array, kept verbatim."""
+    start = b0.as_array()
+    delta = b1.as_array() - start
+    t = np.linspace(0.0, 1.0, points)
+    values = np.abs(start[None, :] + t[:, None] * delta[None, :]).sum(axis=1) - r
+    step = t[1] - t[0]
+    lo, hi = values[:-1], values[1:]
+    k = np.flatnonzero((lo == 0.0) | (lo * hi < 0.0))
+    # linear interpolation inside each crossing cell; frac = 0 on flat cells
+    denom = hi[k] - lo[k]
+    frac = np.divide(-lo[k], denom, out=np.zeros_like(denom), where=denom != 0.0)
+    # tangential touches: local minima within grid resolution of the surface
+    mid = values[1:-1]
+    touch = (
+        (np.abs(mid) < r * step) & (lo[:-1] > mid) & (mid <= hi[1:]) & (mid > 0.0)
+    )
+    crossings = [t[k] + frac * step, t[1:-1][touch]]
+    if values[-1] == 0.0:
+        crossings.append(np.ones(1))
+    return np.sort(np.concatenate(crossings)).tolist()
+
+
+def _level_segments(rng, n):
+    """n segments as the geometry suite draws them: (b0, b1, r), r <= level."""
+    levels = rng.uniform(1.05, SQRT3, n)
+    targets = rng.uniform(1.0, levels)
+    ends = sample_bloch_on_levels(np.repeat(levels, 2), rng).reshape(n, 2, 3)
+    return [(BlochVector(*a), BlochVector(*b), float(r))
+            for (a, b), r in zip(ends, targets)]
+
+
+def test_scan_is_bit_identical_to_the_axis_sum_scan():
+    rng = np.random.default_rng(29)
+    cases = _level_segments(rng, 2_000)
+    # zero-length segments, on and off the level
+    cases += [(b0, b0, r) for b0, _, r in cases[:20]]
+    cases += [(b0, b0, float(np.abs(b0.as_array()).sum())) for b0, _, _ in cases[:20]]
+    # an endpoint exactly on the level, so values[-1] == 0
+    cases += [(b0, b1, float(np.abs(b1.as_array()).sum())) for b0, b1, _ in cases[:40]]
+    ended = 0
+    for b0, b1, r in cases:
+        scanned = scan_polytope_crossings(b0, b1, r)
+        assert scanned == _axis_sum_scan(b0, b1, r)
+        ended += scanned[-1:] == [1.0]
+    assert ended
+
+
+_SIGN_FLIPS = [np.array(s) for s in itertools.product([1.0, -1.0], repeat=3)]
+_SIGNED_PERMUTATIONS = [
+    (list(p), s) for p in itertools.permutations(range(3)) for s in _SIGN_FLIPS
+]
+
+
+def _moved(b, perm, signs):
+    return BlochVector(*(signs * b.as_array()[perm]))
+
+
+def test_scan_is_bit_identical_under_the_eight_sign_flips():
+    for b0, b1, r in _level_segments(np.random.default_rng(30), 300):
+        scanned = scan_polytope_crossings(b0, b1, r)
+        for signs in _SIGN_FLIPS:
+            flipped = (_moved(b, [0, 1, 2], signs) for b in (b0, b1))
+            assert scan_polytope_crossings(*flipped, r) == scanned
+
+
+def test_exact_crossings_are_invariant_under_the_48_signed_permutations():
+    for b0, b1, r in _level_segments(np.random.default_rng(31), 100):
+        ts = line_polytope_intersections(b0, b1, r)
+        for perm, signs in _SIGNED_PERMUTATIONS:
+            moved = line_polytope_intersections(
+                _moved(b0, perm, signs), _moved(b1, perm, signs), r)
+            assert len(moved) == len(ts)
+            assert np.allclose(moved, ts, rtol=0.0, atol=1e-12)
+
+
+def test_reversing_a_segment_maps_t_to_one_minus_t():
+    for b0, b1, r in _level_segments(np.random.default_rng(32), 500):
+        ts = line_polytope_intersections(b0, b1, r)
+        back = line_polytope_intersections(b1, b0, r)
+        assert len(back) == len(ts)
+        assert np.allclose(back, [1.0 - t for t in reversed(ts)], rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("points", [0, 1, -5, 2.0, 10_000.0, "10", None, True])
+def test_scan_refuses_a_point_count_that_is_not_an_integer_of_at_least_two(points):
+    a, b = BlochVector(S3, S3, S3), BlochVector(-S3, -S3, -S3)
+    with pytest.raises(InvalidInputError, match="points"):
+        scan_polytope_crossings(a, b, 1.2, points)
+
+
+@pytest.mark.parametrize("points", [2, np.int64(3), 10_000])
+def test_scan_takes_any_integer_point_count_of_at_least_two(points):
+    a, b = BlochVector(S3, S3, S3), BlochVector(-S3, -S3, -S3)
+    assert scan_polytope_crossings(a, b, 1.2, points) == _axis_sum_scan(a, b, 1.2, points)
+
+
+@pytest.mark.parametrize("r", [math.nan, math.inf, -math.inf, 0.3, 0.0,
+                               np.nextafter(1.0, 0.0)])
+def test_scan_and_exact_solver_refuse_a_non_finite_or_sub_unit_level(r):
+    a, b = BlochVector(S3, S3, S3), BlochVector(-S3, -S3, -S3)
+    for call in (scan_polytope_crossings, line_polytope_intersections):
+        with pytest.raises(InvalidLevelError):
+            call(a, b, r)
+    with pytest.raises(InvalidLevelError):
+        broadcast_geometry_certificate(a, b, a, b, r)
 
 
 @pytest.mark.xfail(
