@@ -3,12 +3,10 @@ broadcasting machines, and broadcasting-unitary optimization experiments.
 """
 
 from .states import (
-    BlochVector,
     DensityMatrix,
     PureState,
     bloch_batch,
     bloch_from_density,
-    density_from_bloch,
     h_state,
     haar_random_pure,
     partial_trace,

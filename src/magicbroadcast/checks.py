@@ -21,7 +21,7 @@ from .errors import InvalidInputError, MagicBroadcastError
 from .measures import rom_batch, rom_lp_batch, sre2_extended_batch, sre2_pure_batch
 from .polytope import broadcast_geometry_certificate, scan_polytope_crossings
 from .stabilizers import clifford_group_1q
-from .states import BlochVector, haar_amps, pure_bloch_batch
+from .states import haar_amps, pure_bloch_batch
 
 _SQRT3 = math.sqrt(3.0)
 
@@ -223,11 +223,10 @@ def _nearest_miss(scanned, exact) -> float:
 
 def _geometry_mismatch(ends: np.ndarray, r: float) -> float:
     """The certificate at level r against two dense scans of its segments."""
-    points = [BlochVector(*m) for m in ends]
-    cert = broadcast_geometry_certificate(*points, r)
+    cert = broadcast_geometry_certificate(*ends, r)
     # called by its name in this module, which a caller may rebind to watch it
-    sys_scan = scan_polytope_crossings(points[0], points[1], r, _SCAN_POINTS)
-    aux_scan = scan_polytope_crossings(points[2], points[3], r, _SCAN_POINTS)
+    sys_scan = scan_polytope_crossings(ends[0], ends[1], r, _SCAN_POINTS)
+    aux_scan = scan_polytope_crossings(ends[2], ends[3], r, _SCAN_POINTS)
     scan_common = _meet(sys_scan, aux_scan)
     if cert.broadcastable and not scan_common:
         return 1.0

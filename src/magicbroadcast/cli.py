@@ -35,7 +35,6 @@ from .optimize import (
 from .polytope import broadcast_geometry_certificate
 from .states import (
     T_POLAR_ANGLE,
-    BlochVector,
     PureState,
     h_state,
     pure_bloch_batch,
@@ -293,11 +292,9 @@ def cmd_experiment(args) -> int:
     return 0
 
 
-def _bloch(text: str) -> BlochVector:
-    parts = [float(p) for p in text.split(",")]
-    if len(parts) != 3:
-        raise ValueError(f"Bloch vector needs 3 components, got {text!r}")
-    return BlochVector(*parts)
+def _bloch(text: str) -> list:
+    """The comma-separated floats of one endpoint; the certificate checks them."""
+    return [float(p) for p in text.split(",")]
 
 
 def cmd_geometry(args) -> int:

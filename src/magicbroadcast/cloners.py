@@ -161,11 +161,6 @@ def bh_input_amps(theta, zeta) -> np.ndarray:
     return amps
 
 
-def bh_input_state(theta: float, zeta: float) -> PureState:
-    """One row of `bh_input_amps` as a validated state."""
-    return PureState(bh_input_amps(theta, zeta))
-
-
 def bh_output(p: BHParams, theta: float, zeta: float) -> DensityMatrix:
     """Reduced output clone for the machine input at (theta, zeta)."""
     c2 = math.cos(theta / 2.0) ** 2

@@ -158,7 +158,7 @@ def rom_lp_oracle(rho: DensityMatrix) -> float:
     """
     if rho.dim != 2:
         raise InvalidDimensionError(f"expected a qubit state, got dim {rho.dim}")
-    b = bloch_from_density(rho).as_array()
+    b = bloch_from_density(rho)
     return float(rom_lp_batch(b[None, :])[0])
 
 

@@ -4,6 +4,11 @@ The level-r polytope is the surface sum_j |m_j| = r. Level 1 is the
 stabilizer octahedron; level sqrt(3) touches the Bloch sphere at the eight
 maximal-magic points. Line-polytope intersections are computed exactly per
 sign-orthant since the level function is piecewise linear along a segment.
+
+An endpoint is a Bloch vector given as a float (3,) array or any 3-sequence
+of numbers; every function checks each endpoint with `states.bloch_vector`,
+so a wrong shape, a non-finite component or a point outside the Bloch ball
+raises a package error.
 """
 from __future__ import annotations
 
@@ -14,7 +19,7 @@ import numpy as np
 
 from . import tolerances as tol
 from .errors import InconsistentReferenceError, InvalidInputError, InvalidLevelError
-from .states import BlochVector
+from .states import bloch_vector
 
 _ROOT_DEDUP = 1e-12
 
@@ -45,18 +50,17 @@ def _check_level(r: float):
         raise InvalidLevelError(f"level must be finite and >= 1, got {r}")
 
 
-def line_polytope_intersections(
-    b0: BlochVector, b1: BlochVector, r: float
-) -> list:
-    """All t in [0, 1] with sum_j |(1-t) b0_j + t b1_j| = r.
+def line_polytope_intersections(b0, b1, r: float) -> list:
+    """All t in [0, 1] with sum_j |(1-t) b0_j + t b1_j| = r, for endpoints
+    b0 and b1 given as Bloch arrays or 3-sequences.
 
     Exact piecewise-linear arithmetic: the segment is split at the zero
     crossings of each coordinate and a linear equation is solved per piece.
     If a whole piece lies on the surface its endpoints are returned.
     """
     _check_level(r)
-    start = b0.as_array()
-    delta = b1.as_array() - start
+    start = bloch_vector(b0)
+    delta = bloch_vector(b1) - start
 
     cuts = {0.0, 1.0}
     for j in range(3):
@@ -90,19 +94,17 @@ def line_polytope_intersections(
 
 
 def broadcast_geometry_certificate(
-    sys0: BlochVector,
-    sys1: BlochVector,
-    aux0: BlochVector,
-    aux1: BlochVector,
-    r: float,
+    sys0, sys1, aux0, aux1, r: float
 ) -> GeometryCertificate:
     """Equal-ratio certificate for broadcastability at polytope level r.
 
-    The four endpoints must sit on a common reference level >= r. The input
-    magic is broadcastable at level r iff the system and auxiliary segments
-    cross the level-r surface at a shared mixing parameter t.
+    The four endpoints, Bloch arrays or 3-sequences, must sit on a common
+    reference level >= r. The input magic is broadcastable at level r iff the
+    system and auxiliary segments cross the level-r surface at a shared
+    mixing parameter t.
     """
-    levels = [v.abs_sum() for v in (sys0, sys1, aux0, aux1)]
+    ends = [bloch_vector(v) for v in (sys0, sys1, aux0, aux1)]
+    levels = [sum(map(abs, m.tolist())) for m in ends]
     ref = levels[0]
     if not max(levels) - min(levels) <= tol.LEVEL_MATCH:
         raise InconsistentReferenceError(
@@ -114,8 +116,8 @@ def broadcast_geometry_certificate(
             f"target level {r} exceeds the reference level {ref}"
         )
 
-    sys_t = line_polytope_intersections(sys0, sys1, r)
-    aux_t = line_polytope_intersections(aux0, aux1, r)
+    sys_t = line_polytope_intersections(ends[0], ends[1], r)
+    aux_t = line_polytope_intersections(ends[2], ends[3], r)
     common = []
     for ts in sys_t:
         for ta in aux_t:
@@ -130,9 +132,7 @@ def broadcast_geometry_certificate(
     )
 
 
-def scan_polytope_crossings(
-    b0: BlochVector, b1: BlochVector, r: float, points: int = 10_000
-) -> list:
+def scan_polytope_crossings(b0, b1, r: float, points: int = 10_000) -> list:
     """Dense-scan oracle: approximate crossing parameters on a uniform grid.
 
     Independent of the exact solver: it shares no arithmetic with
@@ -140,14 +140,14 @@ def scan_polytope_crossings(
     per sign change (or near-zero touch) of the level function. The level
     function is accumulated one coordinate at a time, |m_0| + |m_1| + |m_2|
     in that fixed order, then r is subtracted: bit-identical to the
-    per-cell loop it replaced. `points` is an integer >= 2 and r a finite
-    level >= 1.
+    per-cell loop it replaced. `b0` and `b1` are Bloch arrays or 3-sequences,
+    `points` is an integer >= 2 and r a finite level >= 1.
     """
     if not isinstance(points, (int, np.integer)) or points < 2:
         raise InvalidInputError(f"points must be an integer >= 2, got {points!r}")
     _check_level(r)
-    start = b0.as_array()
-    delta = b1.as_array() - start
+    start = bloch_vector(b0)
+    delta = bloch_vector(b1) - start
     t = np.linspace(0.0, 1.0, points)
     values = np.abs(start[0] + t * delta[0])
     values += np.abs(start[1] + t * delta[1])

@@ -1,6 +1,7 @@
-"""State containers (pure vectors, density matrices, Bloch vectors) and the
-elementary operations on them: Haar sampling, superposition, reduction, and
-the named single-qubit magic states.
+"""State containers (pure vectors, density matrices) and the elementary
+operations on them: Bloch vectors as float (3,) arrays (`bloch_vector` checks
+one), Haar sampling, superposition, reduction, and the named single-qubit
+magic states.
 
 All values are immutable after construction and every function is pure, so the
 whole module is safe for unrestricted parallel use.
@@ -80,29 +81,6 @@ class DensityMatrix:
         return self.mat.shape[0]
 
 
-@dataclass(frozen=True)
-class BlochVector:
-    """Magnetizations (m1, m2, m3) of a single-qubit state."""
-
-    m1: float
-    m2: float
-    m3: float
-
-    def __post_init__(self):
-        if not self.norm_sq() <= 1.0 + tol.BLOCH_BALL:   # also rejects NaN
-            raise NotAStateError(f"Bloch vector outside the unit ball: {self}")
-
-    def norm_sq(self) -> float:
-        return self.m1 ** 2 + self.m2 ** 2 + self.m3 ** 2
-
-    def abs_sum(self) -> float:
-        """Sum of |m_j|, the quantity defining the magic polytope level."""
-        return abs(self.m1) + abs(self.m2) + abs(self.m3)
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.m1, self.m2, self.m3])
-
-
 def _as_rng(seed) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
@@ -133,16 +111,30 @@ def haar_random_pure(dim: int, seed) -> PureState:
     return PureState(haar_amps(_as_rng(seed), 1, dim)[0])
 
 
-def bloch_from_density(rho: DensityMatrix) -> BlochVector:
-    """Magnetizations m_j = Tr(sigma_j rho) of a qubit state."""
+def bloch_vector(m) -> np.ndarray:
+    """Magnetizations (m1, m2, m3) of a single-qubit state as a float (3,) array.
+
+    Refuses a shape other than (3,), and a non-finite point or one outside
+    the Bloch ball.  The ball test runs on Python floats, where a huge
+    component squares to inf instead of overflowing.
+    """
+    m = np.asarray(m, dtype=float)
+    if m.shape != (3,):
+        raise InvalidDimensionError(f"Bloch vector must have shape (3,), got {m.shape}")
+    x, y, z = m.tolist()
+    if not x * x + y * y + z * z <= 1.0 + tol.BLOCH_BALL:     # also rejects NaN
+        if not all(map(math.isfinite, (x, y, z))):
+            raise NotAStateError(f"Bloch vector must be finite, got {(x, y, z)}")
+        raise NotAStateError(f"Bloch vector outside the unit ball: {(x, y, z)}")
+    return m
+
+
+def bloch_from_density(rho: DensityMatrix) -> np.ndarray:
+    """Magnetizations m_j = Tr(sigma_j rho) of a qubit state: a (3,) array."""
     if rho.dim != 2:
         raise InvalidDimensionError(f"expected a qubit state, got dim {rho.dim}")
     m = rho.mat
-    return BlochVector(
-        2.0 * m[0, 1].real,
-        -2.0 * m[0, 1].imag,
-        (m[0, 0] - m[1, 1]).real,
-    )
+    return np.array([2.0 * m[0, 1].real, -2.0 * m[0, 1].imag, (m[0, 0] - m[1, 1]).real])
 
 
 def bloch_batch(rho: np.ndarray) -> np.ndarray:
@@ -158,14 +150,6 @@ def bloch_batch(rho: np.ndarray) -> np.ndarray:
 def pure_bloch_batch(amps: np.ndarray) -> np.ndarray:
     """Magnetizations of pure qubit amplitudes: (..., 2) -> (..., 3)."""
     return bloch_batch(amps[..., :, None] * amps[..., None, :].conj())
-
-
-def density_from_bloch(b: BlochVector) -> DensityMatrix:
-    """Inverse of `bloch_from_density`: rho = (I + sum m_j sigma_j) / 2."""
-    mat = 0.5 * (
-        IDENTITY_2 + b.m1 * SIGMA_X + b.m2 * SIGMA_Y + b.m3 * SIGMA_Z
-    )
-    return DensityMatrix(mat)
 
 
 def t_state() -> PureState:

@@ -15,7 +15,7 @@ from magicbroadcast.checks import run_suite
 from magicbroadcast.cloners import (
     BHParams,
     WZParams,
-    bh_input_state,
+    bh_input_amps,
     bh_low_magic_interval,
     bh_output,
     eta_schwarz_max,
@@ -28,7 +28,7 @@ from magicbroadcast.stabilizers import (
     clifford_group_1q,
     stabilizer_states,
 )
-from magicbroadcast.states import T_POLAR_ANGLE, bloch_from_density, h_state
+from magicbroadcast.states import T_POLAR_ANGLE, PureState, bloch_from_density, h_state
 
 
 VERDICTS = []
@@ -138,11 +138,9 @@ def test_criterion_07_bh_scaling_and_ratios():
     for theta in np.linspace(0.0, math.pi, 50):
         for zeta in np.linspace(0.0, 2.0 * math.pi, 50):
             b_in = bloch_from_density(
-                bh_input_state(float(theta), float(zeta)).density()
-            ).as_array()
-            b_out = bloch_from_density(
-                bh_output(params, float(theta), float(zeta))
-            ).as_array()
+                PureState(bh_input_amps(float(theta), float(zeta))).density()
+            )
+            b_out = bloch_from_density(bh_output(params, float(theta), float(zeta)))
             worst = max(worst, np.max(np.abs(b_out - (2.0 / 3.0) * b_in)))
 
     quarter = BHParams(0.25, eta_schwarz_max(0.25))

@@ -19,7 +19,7 @@ from magicbroadcast.cli import main
 from magicbroadcast.errors import InvalidInputError, MagicBroadcastError
 from magicbroadcast.measures import rom_qubit, sre2_pure
 from magicbroadcast.stabilizers import clifford_group_1q
-from magicbroadcast.states import BlochVector, PureState, haar_amps
+from magicbroadcast.states import PureState, haar_amps
 from test_planted_faults import _plant
 
 
@@ -165,7 +165,7 @@ def test_a_nan_verdict_prints_valid_json(monkeypatch, capsys):
 # level sampler
 # ---------------------------------------------------------------------------
 
-def _loop_sampler(level: float, rng) -> BlochVector:
+def _loop_sampler(level: float, rng) -> np.ndarray:
     """Reference law by rejection: a uniform direction, scaled onto the level,
     redrawn until it lies inside the Bloch ball.  No bound on the draws."""
     while True:
@@ -173,7 +173,7 @@ def _loop_sampler(level: float, rng) -> BlochVector:
         w /= np.linalg.norm(w)
         m = w * (level / np.abs(w).sum())
         if m @ m <= 1.0:
-            return BlochVector(*m)
+            return m
 
 
 def _loop_draws(level: float, seed: int, k: int) -> np.ndarray:
@@ -207,7 +207,7 @@ KS_LEVELS = (1.0, 1.2, 1.5, 1.65, 1.72)
 @pytest.mark.parametrize("level", KS_LEVELS)
 def test_loop_replay_draws_what_the_loop_draws(level):
     rng = np.random.default_rng(11)
-    loop = np.array([_loop_sampler(level, rng).as_array() for _ in range(200)])
+    loop = np.array([_loop_sampler(level, rng) for _ in range(200)])
     np.testing.assert_allclose(_loop_draws(level, 11, 200), loop, rtol=0, atol=1e-15)
 
 

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -7,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import magicbroadcast
 from magicbroadcast.cli import main, parse_state_spec
@@ -172,6 +176,50 @@ def test_geometry_inconsistent_levels_fail(capsys):
     )
     assert code == 2
     assert "error:" in err
+
+
+def test_geometry_huge_component_is_usage_error(capsys):
+    code, out, err = run(
+        capsys, "geometry", "--level", "1.2", "--", "1e200,0,0", "0,1,0", "0,0,1", "-1,0,0",
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "unit ball" in err
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-finite JSON constant {name}")
+
+
+_S3 = 1.0 / math.sqrt(3.0)
+_NUMBERS = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, -0.1, 1e200, 1e308]),
+    st.floats(-1.0, 1.0),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.lists(_NUMBERS, min_size=2, max_size=4), min_size=4, max_size=4),
+    _NUMBERS,
+    st.booleans(),
+)
+@example([[1e200, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [-1.0, 0.0, 0.0]], 1.2, False)
+@example([[_S3] * 3, [-_S3] * 3, [_S3] * 3, [-_S3] * 3], 1.2, True)
+@example([[_S3] * 3, [-_S3] * 3, [_S3] * 3, [-_S3] * 3], 1.2, False)
+def test_geometry_grammar_exits_cleanly(endpoints, level, as_json):
+    argv = ["geometry", f"--level={level!r}"] + (["--json"] if as_json else [])
+    argv += ["--"] + [",".join(map(repr, m)) for m in endpoints]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert err.getvalue().startswith("error:")
+    if code == 0:
+        assert "nan" not in out.getvalue().lower()
+        if as_json:
+            json.loads(out.getvalue(), parse_constant=_reject_constant)
 
 
 def test_experiment_writes_and_resumes(tmp_path, capsys):

@@ -15,7 +15,6 @@ from magicbroadcast.cloners import (
     BroadcasterSpec,
     WZParams,
     bh_input_amps,
-    bh_input_state,
     bh_low_magic_interval,
     bh_magic,
     bh_magic_unclipped,
@@ -34,12 +33,15 @@ from magicbroadcast.cloners import (
 from magicbroadcast.errors import InvalidInputError, InvalidMachineError, InvalidSpecError
 from magicbroadcast.measures import rom_batch, rom_lp_batch, rom_qubit
 from magicbroadcast.states import (
+    SIGMA_X,
+    SIGMA_Y,
+    SIGMA_Z,
     T_POLAR_ANGLE,
-    BlochVector,
+    DensityMatrix,
     PureState,
     bloch_batch,
     bloch_from_density,
-    density_from_bloch,
+    bloch_vector,
     h_state,
     superpose,
     superpose_batch,
@@ -49,6 +51,12 @@ from magicbroadcast.states import (
 
 T_REF = WZParams(T_POLAR_ANGLE, math.pi / 4.0)
 angles = st.floats(0.0, 2.0 * math.pi, allow_nan=False)
+
+
+def _density(m) -> DensityMatrix:
+    """rho = (I + m . sigma) / 2, the inverse of `bloch_from_density`."""
+    x, y, z = m
+    return DensityMatrix(0.5 * (np.eye(2) + x * SIGMA_X + y * SIGMA_Y + z * SIGMA_Z))
 
 
 # ---------------------------------------------------------------------------
@@ -114,11 +122,9 @@ def test_bh_symmetric_point_scales_bloch_by_two_thirds():
     for theta in np.linspace(0.0, math.pi, 50):
         for zeta in np.linspace(0.0, 2.0 * math.pi, 50):
             b_in = bloch_from_density(
-                bh_input_state(float(theta), float(zeta)).density()
-            ).as_array()
-            b_out = bloch_from_density(
-                bh_output(params, float(theta), float(zeta))
-            ).as_array()
+                PureState(bh_input_amps(float(theta), float(zeta))).density()
+            )
+            b_out = bloch_from_density(bh_output(params, float(theta), float(zeta)))
             assert np.allclose(b_out, (2.0 / 3.0) * b_in, atol=1e-12)
 
 
@@ -173,7 +179,7 @@ def test_superposition_closed_form_matches_direct_robustness(theta, zeta):
     )
     bloch = superposition_bloch(theta, zeta)
     assert np.allclose(
-        bloch, bloch_from_density(psi.density()).as_array(), atol=1e-9
+        bloch, bloch_from_density(psi.density()), atol=1e-9
     )
 
 
@@ -194,16 +200,16 @@ def _loop_superposition_bloch(theta, zeta):
     m1 = ct / math.sqrt(3.0) - st * cz / math.sqrt(6.0) + st * sz / math.sqrt(2.0)
     m2 = ct / math.sqrt(3.0) - st * cz / math.sqrt(6.0) - st * sz / math.sqrt(2.0)
     m3 = (ct + math.sqrt(2.0) * st * cz) / math.sqrt(3.0)
-    return BlochVector(m1, m2, m3)
+    return bloch_vector([m1, m2, m3])
 
 
 def _loop_superposition_magic(theta, zeta):
-    return float(rom_batch(_loop_superposition_bloch(theta, zeta).as_array()))
+    return float(rom_batch(_loop_superposition_bloch(theta, zeta)))
 
 
 def _loop_unrestricted_broadcast(spec, alpha, beta):
     outputs = unrestricted_broadcast_batch(alpha, beta, *spec.outputs)
-    return tuple(density_from_bloch(BlochVector(*m)) for m in outputs)
+    return tuple(_density(m) for m in outputs)
 
 
 def _loop_theorem2_falsify(theta, zeta_grid):
@@ -303,7 +309,7 @@ def test_cloner_closed_forms_refuse_non_finite_input(bad, good, which):
 def test_broadcaster_spec_requires_matching_output_magic():
     spec = maximal_magic_spec()
     outputs = spec.outputs.copy()
-    outputs[1, 0] = bloch_from_density(h_state().density()).as_array()  # sqrt(2) != sqrt(3)
+    outputs[1, 0] = bloch_from_density(h_state().density())  # sqrt(2) != sqrt(3)
     with pytest.raises(InvalidSpecError, match="magic"):
         BroadcasterSpec(ref_in=spec.ref_in, outputs=outputs)
 
@@ -386,7 +392,6 @@ def test_scalar_calls_equal_the_core_rows_bit_for_bit(
     for f in (bh_magic, m_ratio):
         assert _bits(f(bh, zeta, t)) == _bits(f(bh, zeta, arr)[i])
         assert _bits(f(bh, t, zeta)) == _bits(f(bh, arr, zeta)[i])
-    assert _bits(bh_input_state(zeta, t).amps) == _bits(bh_input_amps(zeta, arr)[i])
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +411,7 @@ def _loop_wz_output_magic(p, theta):
     return max(1.0, abs(math.cos(theta)) * p.reference_magic())
 
 
-def _loop_bh_input_state(theta, zeta):
+def _loop_bh_input(theta, zeta):
     return PureState(
         [
             math.cos(theta / 2.0),
@@ -450,7 +455,7 @@ def _loop_wz_rows(params, zeta, points):
 def _loop_bh_rows(params, theta, points):
     zetas = [float(z) for z in
              np.linspace(0.0, 2.0 * math.pi, points, endpoint=False)]
-    inputs = [_loop_bh_input_state(theta, zeta) for zeta in zetas]
+    inputs = [_loop_bh_input(theta, zeta) for zeta in zetas]
     rows = []
     for zeta, input_magic in zip(zetas, _loop_sweep_robustness(inputs)):
         output_magic = max(1.0, _loop_bh_magic_unclipped(params, theta, zeta))
@@ -559,7 +564,7 @@ def sweep_lp_gaps(machine_argv) -> tuple:
     """Largest |reported - LP oracle| of one `clone` sweep's magic columns.
 
     Input magic is compared with the LP robustness of the input state the
-    package builds for the row (`superpose` / `bh_input_state`), output
+    package builds for the row (`superpose` / `bh_input_amps`), output
     magic with that of its output clone (`wz_output` / `bh_output`).
     """
     argv = ["clone", *machine_argv, "--json"]
@@ -576,12 +581,11 @@ def sweep_lp_gaps(machine_argv) -> tuple:
     else:
         eta = args.eta if args.eta is not None else eta_schwarz_max(args.xi)
         p = BHParams(args.xi, eta)
-        inputs = [bh_input_state(args.theta, z) for z in rows[:, 0]]
+        inputs = [PureState(bh_input_amps(args.theta, z)) for z in rows[:, 0]]
         outputs = [bh_output(p, args.theta, z) for z in rows[:, 0]]
 
     def lp(rhos):
-        return rom_lp_batch(np.array([bloch_from_density(r).as_array()
-                                      for r in rhos]))
+        return rom_lp_batch(np.array([bloch_from_density(r) for r in rhos]))
 
     return (float(np.max(np.abs(rows[:, 1] - lp(s.density() for s in inputs)))),
             float(np.max(np.abs(rows[:, 2] - lp(outputs)))))

@@ -33,11 +33,12 @@ from magicbroadcast.stabilizers import (
     stabilizer_states,
 )
 from magicbroadcast.states import (
-    BlochVector,
+    SIGMA_X,
+    SIGMA_Y,
+    SIGMA_Z,
     DensityMatrix,
     PureState,
     bloch_batch,
-    density_from_bloch,
     h_state,
     haar_random_pure,
     partial_trace,
@@ -45,6 +46,12 @@ from magicbroadcast.states import (
 )
 
 ball_coords = st.floats(-0.57, 0.57, allow_nan=False)
+
+
+def _density(m) -> DensityMatrix:
+    """rho = (I + m . sigma) / 2, the inverse of `bloch_from_density`."""
+    x, y, z = m
+    return DensityMatrix(0.5 * (np.eye(2) + x * SIGMA_X + y * SIGMA_Y + z * SIGMA_Z))
 
 
 def test_named_state_robustness():
@@ -68,7 +75,7 @@ def test_witness_lemma_relation_on_named_states():
 
 @given(ball_coords, ball_coords, ball_coords)
 def test_lp_oracle_matches_closed_form(x, y, z):
-    rho = density_from_bloch(BlochVector(x, y, z))
+    rho = _density([x, y, z])
     assert rom_lp_oracle(rho) == pytest.approx(rom_qubit(rho), abs=1e-8)
 
 
@@ -336,7 +343,7 @@ def test_stabilizer_states_have_zero_sre2():
 
 
 def test_rom_from_bloch_floors_at_one():
-    assert rom_batch(BlochVector(0.1, 0.1, 0.1).as_array()) == 1.0
+    assert rom_batch(np.array([0.1, 0.1, 0.1])) == 1.0
     bloch = np.array([[[0.1, 0.1, 0.1], [1.0, 0.0, 0.0]], [[0.5, -0.5, 0.5], [0.0, 0.0, 0.0]]])
     assert np.array_equal(rom_batch(bloch), [[1.0, 1.0], [1.5, 1.0]])
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,15 +10,16 @@ from hypothesis import strategies as st
 from magicbroadcast.checks import sample_bloch_on_levels
 from magicbroadcast.errors import (
     InconsistentReferenceError,
+    InvalidDimensionError,
     InvalidInputError,
     InvalidLevelError,
+    NotAStateError,
 )
 from magicbroadcast.polytope import (
     broadcast_geometry_certificate,
     line_polytope_intersections,
     scan_polytope_crossings,
 )
-from magicbroadcast.states import BlochVector
 
 S3 = 1.0 / math.sqrt(3.0)
 SQRT3 = math.sqrt(3.0)
@@ -26,14 +28,14 @@ SQRT3 = math.sqrt(3.0)
 def test_radial_line_crossing():
     # |m|-sum grows linearly from 0 to sqrt(3) along this radius
     ts = line_polytope_intersections(
-        BlochVector(0.0, 0.0, 0.0), BlochVector(S3, S3, S3), 1.2
+        np.array([0.0, 0.0, 0.0]), np.array([S3, S3, S3]), 1.2
     )
     assert ts == pytest.approx([1.2 / math.sqrt(3.0)], abs=1e-12)
 
 
 def test_diameter_produces_two_crossings():
     ts = line_polytope_intersections(
-        BlochVector(S3, S3, S3), BlochVector(-S3, -S3, -S3), 1.2
+        np.array([S3, S3, S3]), np.array([-S3, -S3, -S3]), 1.2
     )
     u = 1.2 / math.sqrt(3.0)
     assert len(ts) == 2
@@ -43,7 +45,7 @@ def test_diameter_produces_two_crossings():
 def test_segment_flat_on_surface_reports_endpoints():
     # both endpoints and the whole segment lie on the level-1 surface
     ts = line_polytope_intersections(
-        BlochVector(1.0, 0.0, 0.0), BlochVector(0.0, 1.0, 0.0), 1.0
+        np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0]), 1.0
     )
     assert ts[0] == pytest.approx(0.0, abs=1e-12)
     assert ts[-1] == pytest.approx(1.0, abs=1e-12)
@@ -55,15 +57,15 @@ def _random_level_point(rng, level):
         w /= np.linalg.norm(w)
         m = w * (level / np.abs(w).sum())
         if m @ m <= 1.0:
-            return BlochVector(*m)
+            return m
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_exact_crossings_match_dense_scan(seed):
     rng = np.random.default_rng(seed)
-    b0 = BlochVector(*(rng.uniform(-0.55, 0.55, 3)))
-    b1 = BlochVector(*(rng.uniform(-0.55, 0.55, 3)))
+    b0 = rng.uniform(-0.55, 0.55, 3)
+    b1 = rng.uniform(-0.55, 0.55, 3)
     r = rng.uniform(1.0, 1.5)
     exact = line_polytope_intersections(b0, b1, r)
     scan = scan_polytope_crossings(b0, b1, r, 20_000)
@@ -74,8 +76,8 @@ def test_exact_crossings_match_dense_scan(seed):
 
 def _loop_scan(b0, b1, r, points=10_000):
     """Reference: the dense scan written as the per-cell loop, kept verbatim."""
-    start = b0.as_array()
-    delta = b1.as_array() - start
+    start = b0
+    delta = b1 - start
     t = np.linspace(0.0, 1.0, points)
     values = np.abs(start[None, :] + t[:, None] * delta[None, :]).sum(axis=1) - r
     crossings = []
@@ -108,23 +110,22 @@ def _scan_cases(rng, n):
             b0, b1 = (_random_level_point(rng, level) for _ in range(2))
             r = rng.uniform(1.0, level)
         elif kind == 1:     # anywhere in the ball
-            b0, b1 = (BlochVector(*rng.uniform(-0.55, 0.55, 3)) for _ in range(2))
+            b0, b1 = (rng.uniform(-0.55, 0.55, 3) for _ in range(2))
             r = rng.uniform(1.0, 1.5)
         elif kind == 2:     # an endpoint exactly on the level
             b0, b1 = (_random_level_point(rng, rng.uniform(1.0, SQRT3))
                       for _ in range(2))
-            start = b0.as_array()
-            end = start + 1.0 * (b1.as_array() - start)
-            r = float(np.abs(start if i % 12 < 6 else end).sum())
+            end = b0 + 1.0 * (b1 - b0)
+            r = float(np.abs(b0 if i % 12 < 6 else end).sum())
         elif kind == 3:     # a whole piece on the level-1 surface
-            b0, b1 = BlochVector(1.0, 0.0, 0.0), BlochVector(0.0, 1.0, 0.0)
+            b0, b1 = np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])
             r = 1.0
         elif kind == 4:     # between two maximal-magic points at r = sqrt(3)
             signs = rng.choice([-1.0, 1.0], (2, 3))
-            b0, b1 = BlochVector(*(S3 * signs[0])), BlochVector(*(S3 * signs[1]))
+            b0, b1 = S3 * signs[0], S3 * signs[1]
             r = SQRT3
         else:               # a tangent touch near t = 1/2: min level 1.1
-            b0, b1 = BlochVector(0.55, 0.55, 0.4), BlochVector(0.55, 0.55, -0.4)
+            b0, b1 = np.array([0.55, 0.55, 0.4]), np.array([0.55, 0.55, -0.4])
             r = 1.1 + rng.uniform(-2e-4, 2e-4)
         points = 10_000 if i < 120 else int(rng.choice([2, 3, 7, 64, 257, 1000]))
         yield b0, b1, r, points
@@ -145,8 +146,8 @@ def test_scan_is_bit_identical_to_the_cell_loop():
 def _axis_sum_scan(b0, b1, r, points=10_000):
     """Reference: the whole-array scan that sums the level function over a
     (points, 3) array, kept verbatim."""
-    start = b0.as_array()
-    delta = b1.as_array() - start
+    start = b0
+    delta = b1 - start
     t = np.linspace(0.0, 1.0, points)
     values = np.abs(start[None, :] + t[:, None] * delta[None, :]).sum(axis=1) - r
     step = t[1] - t[0]
@@ -171,8 +172,7 @@ def _level_segments(rng, n):
     levels = rng.uniform(1.05, SQRT3, n)
     targets = rng.uniform(1.0, levels)
     ends = sample_bloch_on_levels(np.repeat(levels, 2), rng).reshape(n, 2, 3)
-    return [(BlochVector(*a), BlochVector(*b), float(r))
-            for (a, b), r in zip(ends, targets)]
+    return [(a, b, float(r)) for (a, b), r in zip(ends, targets)]
 
 
 def test_scan_is_bit_identical_to_the_axis_sum_scan():
@@ -180,9 +180,9 @@ def test_scan_is_bit_identical_to_the_axis_sum_scan():
     cases = _level_segments(rng, 2_000)
     # zero-length segments, on and off the level
     cases += [(b0, b0, r) for b0, _, r in cases[:20]]
-    cases += [(b0, b0, float(np.abs(b0.as_array()).sum())) for b0, _, _ in cases[:20]]
+    cases += [(b0, b0, float(np.abs(b0).sum())) for b0, _, _ in cases[:20]]
     # an endpoint exactly on the level, so values[-1] == 0
-    cases += [(b0, b1, float(np.abs(b1.as_array()).sum())) for b0, b1, _ in cases[:40]]
+    cases += [(b0, b1, float(np.abs(b1).sum())) for b0, b1, _ in cases[:40]]
     ended = 0
     for b0, b1, r in cases:
         scanned = scan_polytope_crossings(b0, b1, r)
@@ -198,7 +198,7 @@ _SIGNED_PERMUTATIONS = [
 
 
 def _moved(b, perm, signs):
-    return BlochVector(*(signs * b.as_array()[perm]))
+    return signs * b[perm]
 
 
 def test_scan_is_bit_identical_under_the_eight_sign_flips():
@@ -229,26 +229,56 @@ def test_reversing_a_segment_maps_t_to_one_minus_t():
 
 @pytest.mark.parametrize("points", [0, 1, -5, 2.0, 10_000.0, "10", None, True])
 def test_scan_refuses_a_point_count_that_is_not_an_integer_of_at_least_two(points):
-    a, b = BlochVector(S3, S3, S3), BlochVector(-S3, -S3, -S3)
+    a, b = np.array([S3, S3, S3]), np.array([-S3, -S3, -S3])
     with pytest.raises(InvalidInputError, match="points"):
         scan_polytope_crossings(a, b, 1.2, points)
 
 
 @pytest.mark.parametrize("points", [2, np.int64(3), 10_000])
 def test_scan_takes_any_integer_point_count_of_at_least_two(points):
-    a, b = BlochVector(S3, S3, S3), BlochVector(-S3, -S3, -S3)
+    a, b = np.array([S3, S3, S3]), np.array([-S3, -S3, -S3])
     assert scan_polytope_crossings(a, b, 1.2, points) == _axis_sum_scan(a, b, 1.2, points)
 
 
 @pytest.mark.parametrize("r", [math.nan, math.inf, -math.inf, 0.3, 0.0,
                                np.nextafter(1.0, 0.0)])
 def test_scan_and_exact_solver_refuse_a_non_finite_or_sub_unit_level(r):
-    a, b = BlochVector(S3, S3, S3), BlochVector(-S3, -S3, -S3)
+    a, b = np.array([S3, S3, S3]), np.array([-S3, -S3, -S3])
     for call in (scan_polytope_crossings, line_polytope_intersections):
         with pytest.raises(InvalidLevelError):
             call(a, b, r)
     with pytest.raises(InvalidLevelError):
         broadcast_geometry_certificate(a, b, a, b, r)
+
+
+_BAD_ENDPOINTS = {
+    "nan": ([math.nan, 0.0, 0.0], NotAStateError, "finite"),
+    "inf": ([0.0, math.inf, 0.0], NotAStateError, "finite"),
+    "-inf": ([0.0, 0.0, -math.inf], NotAStateError, "finite"),
+    "huge": ([1e200, 0.0, 0.0], NotAStateError, "unit ball"),
+    "outside": ([0.8, 0.8, 0.0], NotAStateError, "unit ball"),
+    "shape-2": ([0.5, 0.5], InvalidDimensionError, "shape"),
+    "shape-4": ([0.1, 0.1, 0.1, 0.1], InvalidDimensionError, "shape"),
+    "shape-1x3": ([[0.5, 0.5, 0.5]], InvalidDimensionError, "shape"),
+}
+_POLYTOPE_CALLS = {
+    "exact": lambda ends: line_polytope_intersections(ends[0], ends[1], 1.2),
+    "scan": lambda ends: scan_polytope_crossings(ends[0], ends[1], 1.2),
+    "certificate": lambda ends: broadcast_geometry_certificate(*ends, 1.2),
+}
+
+
+@pytest.mark.parametrize("position", [0, 1])
+@pytest.mark.parametrize("bad", _BAD_ENDPOINTS)
+@pytest.mark.parametrize("call", _POLYTOPE_CALLS)
+def test_every_polytope_function_refuses_a_bad_endpoint_by_name(call, bad, position):
+    endpoint, error, words = _BAD_ENDPOINTS[bad]
+    ends = [[S3, S3, S3], [-S3, -S3, -S3]] * 2
+    ends[position] = endpoint
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error, match=words):
+            _POLYTOPE_CALLS[call](ends)
 
 
 @pytest.mark.xfail(
@@ -259,8 +289,8 @@ def test_scan_and_exact_solver_refuse_a_non_finite_or_sub_unit_level(r):
 def test_scan_reports_no_touch_on_a_flat_piece_above_the_level():
     # both endpoints lie in one orthant at level 1.3633450245493437, so the
     # level function is constant at +5.8e-5 along the segment: no crossing
-    a0 = BlochVector(0.8017372734389248, -0.3480304252788534, 0.21357732583156538)
-    a1 = BlochVector(0.08807472327570938, -0.5574887476498271, 0.7177815536238071)
+    a0 = np.array([0.8017372734389248, -0.3480304252788534, 0.21357732583156538])
+    a1 = np.array([0.08807472327570938, -0.5574887476498271, 0.7177815536238071])
     r = 1.3632865557384721
     assert line_polytope_intersections(a0, a1, r) == []
     assert scan_polytope_crossings(a0, a1, r, 10_000) == []
@@ -280,7 +310,7 @@ ball_coord = st.one_of(
 def test_at_most_two_roots_unless_a_piece_lies_on_the_surface(coords, r):
     m0, m1 = np.array(coords[:3]), np.array(coords[3:])
     assume(m0 @ m0 <= 1.0 and m1 @ m1 <= 1.0)
-    ts = line_polytope_intersections(BlochVector(*m0), BlochVector(*m1), r)
+    ts = line_polytope_intersections(m0, m1, r)
 
     def level_gap(t):
         return np.abs((1.0 - t) * m0 + t * m1).sum() - r
@@ -293,10 +323,10 @@ def test_at_most_two_roots_unless_a_piece_lies_on_the_surface(coords, r):
 
 
 def test_symmetric_reference_is_broadcastable():
-    t_bloch = BlochVector(S3, S3, S3)
+    t_bloch = np.array([S3, S3, S3])
     cert = broadcast_geometry_certificate(
-        t_bloch, BlochVector(-S3, -S3, -S3),
-        t_bloch, BlochVector(-S3, -S3, -S3), 1.2,
+        t_bloch, np.array([-S3, -S3, -S3]),
+        t_bloch, np.array([-S3, -S3, -S3]), 1.2,
     )
     assert cert.broadcastable
     assert cert.common_t
@@ -319,16 +349,16 @@ def test_interior_auxiliary_line_is_not_broadcastable():
 def test_certificate_requires_equal_endpoint_levels():
     with pytest.raises(InconsistentReferenceError):
         broadcast_geometry_certificate(
-            BlochVector(S3, S3, S3), BlochVector(1.0, 0.0, 0.0),
-            BlochVector(S3, S3, S3), BlochVector(0.0, 1.0, 0.0), 1.2,
+            np.array([S3, S3, S3]), np.array([1.0, 0.0, 0.0]),
+            np.array([S3, S3, S3]), np.array([0.0, 1.0, 0.0]), 1.2,
         )
 
 
 def test_certificate_json_schema():
-    t_bloch = BlochVector(S3, S3, S3)
+    t_bloch = np.array([S3, S3, S3])
     cert = broadcast_geometry_certificate(
-        t_bloch, BlochVector(-S3, -S3, -S3),
-        t_bloch, BlochVector(-S3, -S3, -S3), 1.2,
+        t_bloch, np.array([-S3, -S3, -S3]),
+        t_bloch, np.array([-S3, -S3, -S3]), 1.2,
     )
     payload = cert.to_json()
     assert payload["schema"] == 1
@@ -338,7 +368,7 @@ def test_certificate_json_schema():
 
 @given(st.one_of(st.just(math.nan), st.floats(max_value=1.0, exclude_max=True)))
 def test_every_level_check_rejects_nan_and_sub_unit_levels(r):
-    a, b = BlochVector(S3, S3, S3), BlochVector(-S3, -S3, -S3)
+    a, b = np.array([S3, S3, S3]), np.array([-S3, -S3, -S3])
     with pytest.raises(InvalidLevelError):
         line_polytope_intersections(a, b, r)
     with pytest.raises(InvalidLevelError):

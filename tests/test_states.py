@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,11 +14,13 @@ from magicbroadcast.errors import (
     NotAStateError,
 )
 from magicbroadcast.states import (
-    BlochVector,
+    SIGMA_X,
+    SIGMA_Y,
+    SIGMA_Z,
     DensityMatrix,
     PureState,
     bloch_from_density,
-    density_from_bloch,
+    bloch_vector,
     h_state,
     haar_amps,
     haar_random_pure,
@@ -29,6 +32,12 @@ from magicbroadcast.states import (
 )
 
 angles = st.floats(0.0, 2.0 * math.pi, allow_nan=False)
+
+
+def _density(m) -> DensityMatrix:
+    """rho = (I + m . sigma) / 2, the inverse of `bloch_from_density`."""
+    x, y, z = m
+    return DensityMatrix(0.5 * (np.eye(2) + x * SIGMA_X + y * SIGMA_Y + z * SIGMA_Z))
 
 
 def test_pure_state_must_be_normalized():
@@ -52,33 +61,49 @@ def test_density_matrix_rejects_negative_eigenvalue():
 
 
 def test_bloch_vector_must_fit_the_ball():
-    with pytest.raises(NotAStateError):
-        BlochVector(1.0, 1.0, 0.0)
+    with pytest.raises(NotAStateError, match="unit ball"):
+        bloch_vector([1.0, 1.0, 0.0])
+    m = bloch_vector([0.6, 0.0, 0.8])
+    assert m.dtype == float and m.shape == (3,)
+    assert m.tolist() == [0.6, 0.0, 0.8]
+
+
+def test_a_huge_bloch_component_is_outside_the_ball_not_an_overflow():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NotAStateError, match="unit ball"):
+            bloch_vector([1e200, 0, 0])
+
+
+@pytest.mark.parametrize("m", [[0.5, 0.5], [0.1] * 4, [[0.5, 0.5, 0.5]], 0.5])
+def test_bloch_vector_must_have_three_components(m):
+    with pytest.raises(InvalidDimensionError, match="shape"):
+        bloch_vector(m)
 
 
 def test_named_state_bloch_vectors():
     s3 = 1.0 / math.sqrt(3.0)
     s2 = 1.0 / math.sqrt(2.0)
     b_t = bloch_from_density(t_state().density())
-    assert np.allclose(b_t.as_array(), [s3, s3, s3], atol=1e-12)
+    assert np.allclose(b_t, [s3, s3, s3], atol=1e-12)
     b_h = bloch_from_density(h_state().density())
-    assert np.allclose(b_h.as_array(), [s2, 0.0, s2], atol=1e-12)
+    assert np.allclose(b_h, [s2, 0.0, s2], atol=1e-12)
 
 
 def test_t_perp_is_orthogonal_and_antipodal():
     overlap = np.vdot(t_state().amps, t_perp_state().amps)
     assert abs(overlap) < 1e-12
-    b = bloch_from_density(t_perp_state().density()).as_array()
-    assert np.allclose(b, -bloch_from_density(t_state().density()).as_array())
+    b = bloch_from_density(t_perp_state().density())
+    assert np.allclose(b, -bloch_from_density(t_state().density()))
 
 
 @given(st.floats(-0.99, 0.99), st.floats(-0.99, 0.99), st.floats(-0.99, 0.99))
 def test_bloch_density_round_trip(x, y, z):
     if x * x + y * y + z * z > 1.0:
         return
-    b = BlochVector(x, y, z)
-    back = bloch_from_density(density_from_bloch(b))
-    assert np.allclose(back.as_array(), b.as_array(), atol=1e-12)
+    back = bloch_from_density(_density([x, y, z]))
+    assert back.shape == (3,)
+    assert np.allclose(back, [x, y, z], atol=1e-12)
 
 
 @given(angles, angles)
@@ -153,8 +178,8 @@ coords = st.floats(-0.5, 0.5)
 def test_bloch_vector_rejects_non_finite(x, y, z, index, bad):
     m = [x, y, z]
     m[index] = bad
-    with pytest.raises(NotAStateError):
-        BlochVector(*m)
+    with pytest.raises(NotAStateError, match="finite"):
+        bloch_vector(m)
 
 
 @given(angles, angles, st.integers(0, 1), non_finite, st.booleans())
@@ -167,7 +192,7 @@ def test_pure_state_rejects_non_finite(theta, zeta, index, bad, imaginary):
 
 @given(coords, coords, coords, st.integers(0, 1), st.integers(0, 1), non_finite)
 def test_density_matrix_rejects_non_finite(x, y, z, i, j, bad):
-    mat = density_from_bloch(BlochVector(x, y, z)).mat.copy()
+    mat = _density([x, y, z]).mat.copy()
     mat[i, j] = bad
     with pytest.raises(NotAStateError):
         DensityMatrix(mat)
