@@ -6,9 +6,15 @@ test.  `run_suite` is the single entry point: it seeds the generator, times
 the suite and turns the worst violation (NaN counts as the worst) into a
 pass/fail report against the suite's tolerance.  It backs the `verify` CLI
 subcommand and the acceptance tests.
+
+`lemma1` checks the closed-form qubit robustness against an LP optimality
+certificate built here (a primal decomposition and a dual witness per
+state); the basis-enumeration oracle `measures.rom_lp_batch` cross-checks
+that certificate in the tests.
 """
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -18,9 +24,9 @@ import numpy as np
 from . import tolerances as tol
 from .cloners import theorem2_falsify, unrestricted_broadcast_batch
 from .errors import InvalidInputError, MagicBroadcastError
-from .measures import rom_batch, rom_lp_batch, sre2_extended_batch, sre2_pure_batch
+from .measures import rom_batch, sre2_extended_batch, sre2_pure_batch
 from .polytope import broadcast_geometry_certificate, scan_polytope_crossings
-from .stabilizers import clifford_group_1q
+from .stabilizers import clifford_group_1q, stabilizer_states
 from .states import haar_amps, pure_bloch_batch
 
 _SQRT3 = math.sqrt(3.0)
@@ -121,13 +127,83 @@ def sample_bloch_on_levels(levels, rng) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# Lemma 1 by optimality certificate
+#
+# The qubit robustness is the LP  min sum_i |x_i|  over weights x on the six
+# stabilizer points s_i with sum_i x_i = 1 and sum_i x_i s_i = m.  Its dual
+# is  max y0 + v.m  subject to |y0 + v.s_i| <= 1 for every i.  A feasible x
+# and a feasible (y0, v) with equal objectives prove each other optimal, by
+# weak duality, however they were found.  The checker builds both from m
+# alone and reports how far they fall short of that proof; it reads the
+# stabilizer points from `stabilizer_states(1)` and shares no code with
+# `rom_batch` or the basis-enumeration oracle `rom_lp_batch`.
+# ---------------------------------------------------------------------------
+
+@functools.lru_cache(maxsize=1)
+def _stabilizer_points() -> tuple:
+    """The six one-qubit stabilizer Bloch points (6, 3), and the rows that
+    hold +e_j and -e_j, each (3,)."""
+    a, b = stabilizer_states(1).T
+    ab = 2.0 * a.conj() * b
+    points = np.stack([ab.real, ab.imag, (a * a.conj() - b * b.conj()).real], axis=1)
+    table = (points, points.argmax(axis=0), points.argmin(axis=0))
+    for array in table:
+        array.setflags(write=False)
+    return table
+
+
+def _lemma1_primal(size: np.ndarray, level: np.ndarray) -> tuple:
+    """Weights (p, q), each (n, 3), on sign(m_j) e_j and on -sign(m_j) e_j.
+
+    `size` is |m| and `level` sum_j |m_j| as a column.  p - q = |m_j| puts
+    the magnetization in place and the shares p + q add up to 1, so
+    sum_j |p_j| + |q_j| = max{1, level}.
+    """
+    share = size / np.maximum(level, 1.0) + np.maximum(1.0 - level, 0.0) / 3.0
+    return (share + size) / 2.0, (share - size) / 2.0
+
+
+def _lemma1_certificate(bloch: np.ndarray) -> tuple:
+    """Certified LP optimum of each Bloch vector (n, 3) and its worst defect.
+
+    Returns (value, defect), each (n,): the primal objective, and the largest
+    of the primal residual |A x - (1, m)|, the dual infeasibility
+    max|A^T y| - 1 and the duality gap.  The dual witness is y = (0, sign m)
+    at level sum_j |m_j| >= 1 and (1, 0) below it; the sign of -0.0 is -1.
+    """
+    points, plus, minus = _stabilizer_points()
+    size = np.abs(bloch)
+    level = size.sum(axis=1, keepdims=True)
+    negative = np.signbit(bloch)
+    p, q = _lemma1_primal(size, level)
+    x = np.zeros((len(bloch), len(points)))
+    rows = np.arange(len(bloch))[:, None]
+    x[rows, np.where(negative, minus, plus)] = p
+    x[rows, np.where(negative, plus, minus)] = q
+    primal = np.abs(x).sum(axis=1)
+    residual = np.maximum(np.abs(x.sum(axis=1) - 1.0),
+                          np.abs(x @ points - bloch).max(axis=1))
+    high = level >= 1.0
+    y0 = np.where(high, 0.0, 1.0)
+    v = np.where(high, np.where(negative, -1.0, 1.0), 0.0)
+    dual = y0[:, 0] + (v * bloch).sum(axis=1)
+    dual_excess = np.abs(y0 + v @ points.T).max(axis=1) - 1.0
+    return primal, np.maximum(np.maximum(residual, dual_excess), np.abs(primal - dual))
+
+
+# ---------------------------------------------------------------------------
 # suites: (rng, n) -> violations, one entry per sample (or per measure)
 # ---------------------------------------------------------------------------
 
 def _lemma1(rng, n: int) -> np.ndarray:
-    """Closed-form qubit robustness against the exact LP oracle."""
+    """Closed-form qubit robustness against its certified LP optimum.
+
+    The violation is the largest of |closed form - certified value| and the
+    certificate's own defect (infeasibilities and duality gap).
+    """
     bloch = random_qubit_bloch(rng, n)
-    return np.abs(rom_batch(bloch) - rom_lp_batch(bloch))
+    value, defect = _lemma1_certificate(bloch)
+    return np.maximum(np.abs(rom_batch(bloch) - value), defect)
 
 
 def _clifford(rng, n: int) -> np.ndarray:

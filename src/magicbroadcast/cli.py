@@ -248,6 +248,37 @@ def cmd_verify(args) -> int:
     return 0 if report.passed else 1
 
 
+def _load_outcomes(path: Path) -> dict:
+    """Stored outcomes by sample index, for a resume.
+
+    A run stopped mid-write leaves a torn last line, or a last line without
+    its newline.  The torn line is dropped with a warning, and the file is
+    rewritten so that the next append starts a fresh line.  An unparsable
+    line before the last is an error.
+    """
+    if not path.exists():
+        return {}
+    text = path.read_text()
+    lines = [line for line in text.splitlines() if line.strip()]
+    rewrite = bool(text) and not text.endswith("\n")
+    outcomes = {}
+    for k, line in enumerate(lines):
+        try:
+            data = json.loads(line)
+        except json.JSONDecodeError:
+            if k < len(lines) - 1:
+                raise
+            print(f"warning: dropped the unparsable last line of {path}",
+                  file=sys.stderr)
+            lines.pop()
+            rewrite = True
+            break
+        outcomes[data["index"]] = outcome_from_json(data)
+    if rewrite:
+        path.write_text("".join(line + "\n" for line in lines))
+    return outcomes
+
+
 def cmd_experiment(args) -> int:
     cfg_data = {}
     if args.config:
@@ -270,13 +301,7 @@ def cmd_experiment(args) -> int:
     outcomes_path = out_dir / f"{args.objective}_outcomes.jsonl"
     summary_path = out_dir / f"{args.objective}_summary.json"
 
-    precomputed = {}
-    if outcomes_path.exists():
-        for line in outcomes_path.read_text().splitlines():
-            if line.strip():
-                data = json.loads(line)
-                precomputed[data["index"]] = outcome_from_json(data)
-
+    precomputed = _load_outcomes(outcomes_path)
     with outcomes_path.open("a") as fh:
         def sink(index, outcome):
             fh.write(json.dumps({"index": index, **outcome.to_json()}) + "\n")

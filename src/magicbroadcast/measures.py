@@ -2,6 +2,11 @@
 independent LP oracle), stabilizer Renyi entropy of order 2 (pure and
 extended), and the magic-generating power of two-qubit unitaries.
 
+The LP oracle `rom_lp_batch` solves the robustness LP by enumerating its
+basic solutions.  The `lemma1` suite checks the closed form with an
+optimality certificate instead (see `checks`); the oracle is the tests'
+cross-check of that certificate, and backs `rom_lp_oracle`.
+
 Each formula has one batched core (`rom_batch`; the SRE2 reducer `_m2` behind
 `sre2_pure_batch` and `sre2_extended_batch`); `rom_qubit`, `sre2_pure` and
 `sre2_extended` are thin wrappers over it.

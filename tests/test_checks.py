@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -17,9 +18,9 @@ from magicbroadcast.checks import (
 )
 from magicbroadcast.cli import main
 from magicbroadcast.errors import InvalidInputError, MagicBroadcastError
-from magicbroadcast.measures import rom_qubit, sre2_pure
+from magicbroadcast.measures import rom_lp_batch, rom_qubit, sre2_pure
 from magicbroadcast.stabilizers import clifford_group_1q
-from magicbroadcast.states import PureState, haar_amps
+from magicbroadcast.states import PureState, bloch_batch, haar_amps
 from test_planted_faults import _plant
 
 
@@ -159,6 +160,48 @@ def test_a_nan_verdict_prints_valid_json(monkeypatch, capsys):
     report = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
     assert report["pass"] is False
     assert report["max_violation"] is None
+
+
+# ---------------------------------------------------------------------------
+# lemma1's optimality certificate
+# ---------------------------------------------------------------------------
+
+_T_DIRECTIONS = np.array(list(itertools.product([1.0, -1.0], repeat=3))) / math.sqrt(3.0)
+# stabilizer points, T directions at level sqrt(3), the origin, rows exactly
+# on level 1, and signed zeros
+_CERTIFICATE_EDGES = np.vstack([
+    np.eye(3), -np.eye(3),
+    _T_DIRECTIONS,
+    np.zeros((1, 3)),
+    [[0.5, 0.25, -0.25], [-0.5, 0.5, 0.0], [0.25, -0.25, -0.5]],
+    [[-0.0, 0.0, -0.0], [-0.0, -0.0, 1.0], [0.0, -0.0, -1.0], [-0.0, 0.5, 0.5]],
+])
+
+
+@pytest.mark.parametrize("rows", ["criterion 1", "edges"])
+def test_lemma1_certificate_matches_the_lp_oracle(rows):
+    if rows == "edges":
+        bloch = _CERTIFICATE_EDGES
+    else:                       # acceptance criterion 1's exact draw
+        bloch = random_qubit_bloch(np.random.default_rng(0), 100_000)
+    value, defect = checks._lemma1_certificate(bloch)
+    assert np.max(np.abs(value - rom_lp_batch(bloch))) <= 1e-12
+    assert np.max(defect) <= 1e-12
+
+
+def test_lemma1_certificate_shares_no_code_with_what_it_checks(monkeypatch):
+    bloch = np.vstack([random_qubit_bloch(np.random.default_rng(3), 500),
+                       _CERTIFICATE_EDGES])
+    expected = checks._lemma1_certificate(bloch)
+
+    def tripwire(*args, **kwargs):
+        raise AssertionError("the certificate called the code it checks")
+
+    for original in (measures.rom_batch, measures.rom_lp_batch, bloch_batch):
+        _plant(monkeypatch, original, tripwire)
+    checks._stabilizer_points.cache_clear()     # rebuild the table planted
+    for got, want in zip(checks._lemma1_certificate(bloch), expected):
+        assert np.array_equal(got, want)
 
 
 # ---------------------------------------------------------------------------

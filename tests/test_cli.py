@@ -13,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import magicbroadcast
+from magicbroadcast.checks import suite_names
 from magicbroadcast.cli import main, parse_state_spec
 from magicbroadcast.states import h_state, t_state
 
@@ -151,9 +152,11 @@ def test_verify_without_samples_is_usage_error(capsys, suite, count):
 
 
 def test_verify_unknown_suite_is_usage_error(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "nonsense"])
-    assert exc.value.code == 2
+    for suite in ("nonsense", "LEMMA1", "lemma", ""):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", suite])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
 
 def test_geometry_command(capsys):
@@ -222,6 +225,26 @@ def test_geometry_grammar_exits_cleanly(endpoints, level, as_json):
             json.loads(out.getvalue(), parse_constant=_reject_constant)
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(suite_names()),
+    st.sampled_from([-1, 0, 1, 2, 7]),
+    st.sampled_from([0, 1, -1, 2 ** 64]),
+    st.booleans(),
+)
+def test_verify_grammar_exits_cleanly(suite, samples, seed, as_json):
+    argv = ["verify", suite, f"--samples={samples}", f"--seed={seed}"]
+    argv += ["--json"] if as_json else []
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert err.getvalue().startswith("error:")
+    elif as_json:
+        json.loads(out.getvalue(), parse_constant=_reject_constant)
+
+
 def test_experiment_writes_and_resumes(tmp_path, capsys):
     out_dir = str(tmp_path / "run")
     cfg = tmp_path / "cfg.json"
@@ -266,6 +289,49 @@ def test_experiment_resume_with_the_wrong_angle_count_is_usage_error(tmp_path, c
     assert code == 2
     assert err.startswith("error:") and "15 angles" in err
     assert out == ""
+
+
+def _tiny_experiment(tmp_path, out_dir, samples):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"population": 4, "max_evals": 8, "restarts": 1}))
+    return ("experiment", "magic", "--samples", str(samples),
+            "--out", str(out_dir), "--config", str(cfg))
+
+
+@pytest.mark.parametrize("cut", [1, 20])    # the newline alone, or into the JSON
+def test_experiment_resumes_over_a_torn_last_line(tmp_path, capsys, cut):
+    code, whole, _ = run(capsys, *_tiny_experiment(tmp_path, tmp_path / "whole", 3))
+    assert code == 0
+    assert run(capsys, *_tiny_experiment(tmp_path, tmp_path / "torn", 2))[0] == 0
+    outcomes = tmp_path / "torn" / "magic_outcomes.jsonl"
+    outcomes.write_text(outcomes.read_text()[:-cut])
+    argv = _tiny_experiment(tmp_path, tmp_path / "torn", 3)
+    code, out, err = run(capsys, *argv)
+    assert code == 0
+    assert json.loads(out) == json.loads(whole)
+    if cut > 1:
+        assert err.startswith("warning:") and err.count("\n") == 1
+    else:
+        assert err == ""
+    # one well-formed line per sample, as the untorn run wrote them
+    assert outcomes.read_text() == (tmp_path / "whole" / "magic_outcomes.jsonl").read_text()
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert json.loads(out) == json.loads(whole)
+
+
+def test_experiment_unparsable_line_before_the_last_is_usage_error(tmp_path, capsys):
+    argv = _tiny_experiment(tmp_path, tmp_path / "run", 2)
+    assert run(capsys, *argv)[0] == 0
+    outcomes = tmp_path / "run" / "magic_outcomes.jsonl"
+    first, second = outcomes.read_text().splitlines()
+    outcomes.write_text(first[:-20] + "\n" + second + "\n")
+    before = outcomes.read_text()
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+    assert outcomes.read_text() == before
 
 
 def test_outputs_written_to_file(tmp_path, capsys):

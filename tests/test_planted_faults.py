@@ -48,6 +48,20 @@ def test_lemma1_catches_rom_as_sqrt3_times_the_bloch_length(monkeypatch):
     assert report.max_violation > 0.1
 
 
+def test_lemma1_catches_a_primal_with_the_sign_of_q_flipped(monkeypatch):
+    original = checks._lemma1_primal
+
+    def flipped(size, level):
+        p, q = original(size, level)
+        return p, -q
+
+    assert run_suite("lemma1", n_samples=200).passed
+    _plant(monkeypatch, original, flipped)
+    report = run_suite("lemma1", n_samples=200)
+    assert not report.passed
+    assert report.max_violation > 0.1
+
+
 def test_geometry_catches_shifted_exact_roots(monkeypatch):
     original = polytope.line_polytope_intersections
 
