@@ -25,7 +25,7 @@ from . import tolerances as tol
 from .cloners import theorem2_falsify, unrestricted_broadcast_batch
 from .errors import InvalidInputError, MagicBroadcastError
 from .measures import rom_batch, sre2_extended_batch, sre2_pure_batch
-from .polytope import broadcast_geometry_certificate, scan_polytope_crossings
+from .polytope import broadcast_geometry_certificate, scan_crossings_batch
 from .stabilizers import clifford_group_1q, stabilizer_states
 from .states import haar_amps, pure_bloch_batch
 
@@ -245,12 +245,14 @@ _THEOREM2_THETA = math.pi / 4.0
 
 
 def _theorem2(rng, n: int) -> np.ndarray:
-    """Maximal-magic broadcaster gap sweep over a fixed grid of n zetas.
+    """Maximal-magic broadcaster gap sweep over a fixed grid of n zetas plus
+    zeta = pi, where the gap peaks (0.338 at theta = pi/4), so that a grid
+    too coarse to come near the peak cannot fail correct code.
 
     Three violations: the closed-form mismatch with the direct robustness,
     any zeta dependence of the output, and a shortfall of the gap below 0.1.
     """
-    grid = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
+    grid = np.append(np.linspace(0.0, 2.0 * math.pi, n, endpoint=False), math.pi)
     report = theorem2_falsify(_THEOREM2_THETA, grid)
     return np.array([report.closed_form_max_err, report.output_spread,
                      0.1 - report.max_gap])
@@ -297,12 +299,10 @@ def _nearest_miss(scanned, exact) -> float:
     return max((min([1.0] + [abs(t - e) for e in exact]) for t in scanned), default=0.0)
 
 
-def _geometry_mismatch(ends: np.ndarray, r: float) -> float:
-    """The certificate at level r against two dense scans of its segments."""
+def _geometry_mismatch(ends: np.ndarray, r: float, sys_scan: list,
+                       aux_scan: list) -> float:
+    """The certificate at level r against the dense scans of its segments."""
     cert = broadcast_geometry_certificate(*ends, r)
-    # called by its name in this module, which a caller may rebind to watch it
-    sys_scan = scan_polytope_crossings(ends[0], ends[1], r, _SCAN_POINTS)
-    aux_scan = scan_polytope_crossings(ends[2], ends[3], r, _SCAN_POINTS)
     scan_common = _meet(sys_scan, aux_scan)
     if cert.broadcastable and not scan_common:
         return 1.0
@@ -317,7 +317,13 @@ def _geometry(rng, n: int) -> np.ndarray:
     levels = rng.uniform(1.05, _SQRT3, n)
     targets = rng.uniform(1.0, levels)
     endpoints = sample_bloch_on_levels(np.repeat(levels, 4), rng).reshape(-1, 4, 3)
-    return np.array([_geometry_mismatch(e, r) for e, r in zip(endpoints, targets)])
+    # one scan of all 2n segments, each sample's sys then aux segment; called
+    # by its name in this module, which a caller may rebind to watch it
+    scans = scan_crossings_batch(endpoints[:, 0::2].reshape(-1, 3),
+                                 endpoints[:, 1::2].reshape(-1, 3),
+                                 np.repeat(targets, 2), _SCAN_POINTS)
+    return np.array([_geometry_mismatch(*sample) for sample in
+                     zip(endpoints, targets, scans[0::2], scans[1::2])])
 
 
 # name -> (suite, default samples, tolerance); the defaults are the release

@@ -160,6 +160,8 @@ class OptimizerConfig:
             raise InvalidInputError("population must be even and >= 4")
         if self.restarts < 1:
             raise InvalidInputError("restarts must be >= 1")
+        if self.seed < 0:
+            raise InvalidInputError(f"seed must be >= 0, got {self.seed}")
         if self.max_evals < self.population:
             raise InvalidInputError("max_evals must be >= population")
 

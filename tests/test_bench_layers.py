@@ -8,10 +8,11 @@ bytecode next to it) and checks every `optimize`, `measures` and `polytope`
 target against the package, and the two oracles' signatures.
 
 `bench/workloads.py` and `bench/setup_probe.py` call package attributes by
-name, and the verify workload rebinds `checks.scan_polytope_crossings` to
-count the geometry suite's scans; those names are checked here too.  The
-search workload's check rebuilds each outcome's unitary with
-`build_unitary(outcome.params)`.
+name; those names are checked here too.  The verify workload would rebind
+`checks.scan_polytope_crossings`, if present, to count the geometry suite's
+scans; the suite now makes one `checks.scan_crossings_batch` call over all
+its segments instead, checked below.  The search workload's check rebuilds
+each outcome's unitary with `build_unitary(outcome.params)`.
 """
 import importlib
 import inspect
@@ -74,7 +75,7 @@ def test_the_oracle_signatures_the_layer_table_reads():
 
 
 BENCH_NAMES = {
-    "checks": ("run_suite", "scan_polytope_crossings"),
+    "checks": ("run_suite",),
     "cloners": ("BroadcasterSpec", "theorem2_falsify"),
     "cli": ("build_parser", "main", "cmd_magic", "cmd_clone", "cmd_geometry"),
     "errors": ("MagicBroadcastError",),
@@ -94,15 +95,15 @@ def test_every_name_the_workloads_call_resolves(module):
 
 def test_geometry_suite_scans_through_the_checks_global(monkeypatch):
     calls = []
-    original = checks.scan_polytope_crossings
+    original = checks.scan_crossings_batch
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
+    def counted(b0, b1, r, points):
+        calls.append(len(r))
+        return original(b0, b1, r, points)
 
-    monkeypatch.setattr(checks, "scan_polytope_crossings", counted)
+    monkeypatch.setattr(checks, "scan_crossings_batch", counted)
     assert checks.run_suite("geometry", n_samples=5, seed=1).passed
-    assert len(calls) == 2 * 5
+    assert calls == [2 * 5]
 
 
 def test_the_traced_spec_hook_resolves():

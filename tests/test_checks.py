@@ -53,6 +53,13 @@ def test_theorem2_suite_runs_its_zeta_grid():
     assert report.samples == 90
 
 
+@pytest.mark.parametrize("n_samples", range(1, 10))
+def test_theorem2_suite_passes_on_every_small_grid(n_samples):
+    # the gap is also scored at zeta = pi, its peak, which the 1- and
+    # 3-point grids miss
+    assert run_suite("theorem2", n_samples).passed
+
+
 def test_geometry_suite_small():
     report = run_suite("geometry", n_samples=25, seed=2)
     assert report.passed

@@ -373,6 +373,19 @@ def test_experiment_bad_count_writes_nothing(tmp_path, capsys, count):
     assert not out_dir.exists()
 
 
+def test_experiment_negative_seed_is_usage_error_and_writes_nothing(tmp_path, capsys):
+    # numpy used to refuse it inside the search, after the outcomes file opened
+    out_dir = tmp_path / "d1"
+    code, out, err = run(
+        capsys, "experiment", "magic", "--samples", "1", "--seed", "-1",
+        "--out", str(out_dir),
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: seed") and err.count("\n") == 1
+    assert not out_dir.exists()
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("text,field", [
     ('{"epsilon": NaN}', "epsilon"),

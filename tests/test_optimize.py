@@ -126,7 +126,8 @@ def test_config_validation():
     ("epsilon", math.nan), ("epsilon", math.inf), ("epsilon", -math.inf),
     ("epsilon", "1e-4"), ("epsilon", True), ("epsilon", None),
     ("population", 42.0), ("population", True), ("max_evals", 1e5),
-    ("seed", 1.5), ("seed", "0"), ("restarts", 2.0), ("restarts", False),
+    ("seed", 1.5), ("seed", "0"), ("seed", -1), ("restarts", 2.0),
+    ("restarts", False),
 ])
 def test_config_rejects_a_bad_field_by_name(field, value):
     with pytest.raises(InvalidInputError, match=field):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from magicbroadcast import polytope
 from magicbroadcast.checks import sample_bloch_on_levels
 from magicbroadcast.errors import (
     InconsistentReferenceError,
@@ -18,6 +19,7 @@ from magicbroadcast.errors import (
 from magicbroadcast.polytope import (
     broadcast_geometry_certificate,
     line_polytope_intersections,
+    scan_crossings_batch,
     scan_polytope_crossings,
 )
 
@@ -131,15 +133,28 @@ def _scan_cases(rng, n):
         yield b0, b1, r, points
 
 
-def test_scan_is_bit_identical_to_the_cell_loop():
-    cases = list(_scan_cases(np.random.default_rng(2024), 2_400))
-    touched = ended = 0
+def _by_points(cases):
+    """(b0, b1, r, points) cases grouped as {points: [(b0, b1, r), ...]}."""
+    groups = {}
     for b0, b1, r, points in cases:
-        scanned = scan_polytope_crossings(b0, b1, r, points)
-        assert scanned == _loop_scan(b0, b1, r, points)
-        assert all(type(t) is float for t in scanned)
-        touched += len(scanned) == 1 and 0.4 < scanned[0] < 0.6
-        ended += scanned[-1:] == [1.0]
+        groups.setdefault(points, []).append((b0, b1, r))
+    return groups
+
+
+def _batch(cases, points):
+    """One `scan_crossings_batch` call over (b0, b1, r) cases: a row per case."""
+    return scan_crossings_batch(*zip(*cases), points)
+
+
+def test_scan_is_bit_identical_to_the_cell_loop():
+    touched = ended = 0
+    for points, cases in _by_points(_scan_cases(np.random.default_rng(2024), 2_400)).items():
+        for scanned, case in zip(_batch(cases, points), cases):
+            assert scanned == _loop_scan(*case, points)
+            assert scanned == _axis_sum_scan(*case, points)
+            assert all(type(t) is float for t in scanned)
+            touched += len(scanned) == 1 and 0.4 < scanned[0] < 0.6
+            ended += scanned[-1:] == [1.0]
     assert touched and ended    # the tangent rule and the end point both fired
 
 
@@ -175,20 +190,98 @@ def _level_segments(rng, n):
     return [(a, b, float(r)) for (a, b), r in zip(ends, targets)]
 
 
-def test_scan_is_bit_identical_to_the_axis_sum_scan():
-    rng = np.random.default_rng(29)
-    cases = _level_segments(rng, 2_000)
-    # zero-length segments, on and off the level
+def _suite_style_cases():
+    """2 000 segments drawn as the geometry suite draws them, then zero-length
+    segments on and off the level and segments ending on the level."""
+    cases = _level_segments(np.random.default_rng(29), 2_000)
     cases += [(b0, b0, r) for b0, _, r in cases[:20]]
     cases += [(b0, b0, float(np.abs(b0).sum())) for b0, _, _ in cases[:20]]
     # an endpoint exactly on the level, so values[-1] == 0
     cases += [(b0, b1, float(np.abs(b1).sum())) for b0, b1, _ in cases[:40]]
-    ended = 0
-    for b0, b1, r in cases:
-        scanned = scan_polytope_crossings(b0, b1, r)
-        assert scanned == _axis_sum_scan(b0, b1, r)
-        ended += scanned[-1:] == [1.0]
-    assert ended
+    return cases
+
+
+def test_scan_is_bit_identical_to_the_axis_sum_scan():
+    cases = _suite_style_cases()
+    rows = _batch(cases, 10_000)
+    # the cell loop takes ~5 ms a row: every special case, every 10th drawn one
+    for k, (scanned, case) in enumerate(zip(rows, cases)):
+        assert scanned == _axis_sum_scan(*case)
+        if k % 10 == 0 or k >= 2_000:
+            assert scanned == _loop_scan(*case)
+    assert any(scanned[-1:] == [1.0] for scanned in rows)
+    # the one-row wrapper is the batch's row
+    assert [scan_polytope_crossings(*case) for case in cases[:50]] == rows[:50]
+
+
+_B = polytope._SCAN_BLOCK
+
+
+@pytest.mark.parametrize("points", [2, 3, 7, _B, _B + 1, _B + 2, 1_000, 10_000, 20_000])
+def test_batch_is_bit_identical_to_both_references_at_every_grid_size(points):
+    cases = [case[:3] for case in _scan_cases(np.random.default_rng(points), 24)]
+    cases += _level_segments(np.random.default_rng(points), 12)
+    for scanned, case in zip(_batch(cases, points), cases):
+        assert scanned == _loop_scan(*case, points)
+        assert scanned == _axis_sum_scan(*case, points)
+
+
+def _block_edge_cases(points):
+    """Touches, crossing pairs and exact zeros planted on the grid points at
+    and next to the first and last three inner block edges, where a block
+    reads its neighbours' values.  Yields ((b0, b1, r), i, kind)."""
+    t = np.linspace(0.0, 1.0, points)
+    step = t[1] - t[0]
+    edges = list(range(_B, points - 1, _B))
+    for edge in sorted(set(edges[:3] + edges[-3:])):
+        for i in [i for i in (edge - 1, edge, edge + 1) if i < points - 1]:
+            # the level function is 1.1 + 0.6 |t - t_i| - r, up to rounding
+            b0 = np.array([0.55, 0.55, 0.6 * t[i]])
+            b1 = np.array([0.55, 0.55, 0.6 * t[i] - 0.6])
+            low = float(np.abs(b0 + t[i] * (b1 - b0)).sum())
+            yield (b0, b1, low - 0.5 * step), i, "touch"
+            yield (b0, b1, low + 0.3 * step), i, "pair"
+            yield (b0, b1, low), i, "zero"
+
+
+@pytest.mark.parametrize("points", [_B + 2, 1_000, 10_000])
+def test_batch_is_bit_identical_to_both_references_at_block_edges(points):
+    planted = list(_block_edge_cases(points))
+    t = np.linspace(0.0, 1.0, points)
+    rows = _batch([case for case, _, _ in planted], points)
+    for scanned, (case, i, kind) in zip(rows, planted):
+        assert scanned == _loop_scan(*case, points)
+        assert scanned == _axis_sum_scan(*case, points)
+        if kind == "pair":
+            assert len(scanned) == 2 and scanned[0] < t[i] < scanned[1]
+        else:
+            assert scanned == [t[i]]
+
+
+def _rows_off_the_reference(cases, points):
+    """How many rows of one batch scan differ from the axis-sum reference."""
+    return sum(scanned != _axis_sum_scan(*case, points)
+               for scanned, case in zip(_batch(cases, points), cases))
+
+
+def test_a_prune_without_its_lipschitz_reach_breaks_bit_identity(monkeypatch):
+    cases = _level_segments(np.random.default_rng(33), 500)
+    assert _rows_off_the_reference(cases, 10_000) == 0
+
+    def no_reach(delta, widths):
+        return np.zeros((len(delta), len(widths)))
+
+    monkeypatch.setattr(polytope, "_block_reach", no_reach)
+    assert _rows_off_the_reference(cases, 10_000) > 0
+
+
+def test_a_prune_without_the_neighbour_points_breaks_bit_identity(monkeypatch):
+    # about 3 % of drawn segments put a reported point next to a block
+    # edge; the planted block-edge cases all do
+    cases = [case for case, _, _ in _block_edge_cases(10_000)]
+    assert _rows_off_the_reference(cases, 10_000) == 0
+    monkeypatch.setattr(polytope, "_SCAN_HALO", 0)
+    assert _rows_off_the_reference(cases, 10_000) > 0
 
 
 _SIGN_FLIPS = [np.array(s) for s in itertools.product([1.0, -1.0], repeat=3)]
@@ -265,6 +358,8 @@ _POLYTOPE_CALLS = {
     "exact": lambda ends: line_polytope_intersections(ends[0], ends[1], 1.2),
     "scan": lambda ends: scan_polytope_crossings(ends[0], ends[1], 1.2),
     "certificate": lambda ends: broadcast_geometry_certificate(*ends, 1.2),
+    # the bad endpoint in the second row
+    "batch": lambda ends: scan_crossings_batch(ends[2::-2], ends[3::-2], [1.2, 1.2]),
 }
 
 
@@ -279,6 +374,21 @@ def test_every_polytope_function_refuses_a_bad_endpoint_by_name(call, bad, posit
         warnings.simplefilter("error")
         with pytest.raises(error, match=words):
             _POLYTOPE_CALLS[call](ends)
+
+
+@pytest.mark.parametrize("b0,b1,r", [
+    ([[S3, S3, S3]] * 2, [[-S3, -S3, -S3]], [1.2, 1.2]),
+    ([[S3, S3, S3]], [[-S3, -S3, -S3]], [1.2, 1.2]),
+    ([[S3, S3, S3]], [[-S3, -S3, -S3]], 1.2),
+    ([[S3, S3, S3]], [[-S3, -S3, -S3]], [[1.2]]),
+])
+def test_batch_refuses_rows_that_do_not_line_up(b0, b1, r):
+    with pytest.raises(InvalidInputError):
+        scan_crossings_batch(b0, b1, r)
+
+
+def test_batch_of_no_segments_is_empty():
+    assert scan_crossings_batch(np.empty((0, 3)), np.empty((0, 3)), np.empty(0)) == []
 
 
 @pytest.mark.xfail(
