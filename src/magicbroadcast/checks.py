@@ -212,7 +212,7 @@ def _clifford(rng, n: int) -> np.ndarray:
     group = np.array(clifford_group_1q())
     cliffords = group[rng.integers(len(group), size=n)]
     pair = np.stack([amps, np.einsum("nij,nj->ni", cliffords, amps)])
-    m2 = sre2_pure_batch(pair, 1)
+    m2 = sre2_pure_batch(pair)
     rom = rom_batch(pure_bloch_batch(pair))
     return np.maximum(np.abs(m2[1] - m2[0]), np.abs(rom[1] - rom[0]))
 
@@ -220,8 +220,8 @@ def _clifford(rng, n: int) -> np.ndarray:
 def _additivity(rng, n: int) -> np.ndarray:
     """M2 additivity on two-qubit products of Haar qubit states."""
     psi, phi = haar_amps(rng, n, 2), haar_amps(rng, n, 2)
-    joint = sre2_pure_batch((psi[:, :, None] * phi[:, None, :]).reshape(n, 4), 2)
-    return np.abs(joint - sre2_pure_batch(psi, 1) - sre2_pure_batch(phi, 1))
+    joint = sre2_pure_batch((psi[:, :, None] * phi[:, None, :]).reshape(n, 4))
+    return np.abs(joint - sre2_pure_batch(psi) - sre2_pure_batch(phi))
 
 
 def _convexity(rng, n: int) -> np.ndarray:
@@ -238,7 +238,7 @@ def _monotone(rng, n: int) -> np.ndarray:
     z = haar_amps(rng, n, 4)
     blocks = z.reshape(n, 2, 2)
     reduced = np.einsum("nij,nkj->nik", blocks, blocks.conj())
-    return sre2_extended_batch(reduced, 1) - sre2_pure_batch(z, 2)
+    return sre2_extended_batch(reduced) - sre2_pure_batch(z)
 
 
 _THEOREM2_THETA = math.pi / 4.0

@@ -1,13 +1,15 @@
 """Command-line front end.
 
-Subcommands: magic, clone, verify, experiment, geometry.  Every command is
-deterministic under a fixed --seed, and machine-readable outputs carry a
-versioned "schema" field.  Exit codes: 0 success, 1 check failure, 2 usage
-error.
+Subcommands: magic, clone (machines wz and bh), verify, experiment,
+geometry.  Each takes only the flags it reads.  Every command is
+deterministic (verify and experiment under a fixed --seed), and
+machine-readable outputs carry a versioned "schema" field.  Exit codes:
+0 success, 1 check failure, 2 usage error.
 """
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -132,17 +134,22 @@ def cmd_magic(args) -> int:
     return 0
 
 
+_WZ_REFS = {
+    "T": WZParams(T_POLAR_ANGLE, math.pi / 4.0),
+    "H": WZParams(math.pi / 4.0, 0.0),
+    "zero": WZParams(0.0, 0.0),
+    "plus": WZParams(math.pi / 2.0, 0.0),
+}
+
+
 def _wz_params(args) -> WZParams:
+    """--ref's named reference, or --gamma with --gamma-prime (default 0)."""
     if args.ref is not None:
-        return {
-            "T": WZParams(T_POLAR_ANGLE, math.pi / 4.0),
-            "H": WZParams(math.pi / 4.0, 0.0),
-            "zero": WZParams(0.0, 0.0),
-            "plus": WZParams(math.pi / 2.0, 0.0),
-        }[args.ref]
-    if args.gamma is None:
-        raise ValueError("wz needs --ref or --gamma/--gamma-prime")
-    return WZParams(args.gamma, args.gamma_prime)
+        if args.gamma_prime is not None:
+            raise InvalidInputError("--gamma-prime needs --gamma, not --ref")
+        return _WZ_REFS[args.ref]
+    gamma_prime = 0.0 if args.gamma_prime is None else args.gamma_prime
+    return WZParams(args.gamma, gamma_prime)
 
 
 def _rows_to_output(header, rows, args) -> int:
@@ -172,9 +179,12 @@ def _sweep_grid(points: int) -> np.ndarray:
     return np.linspace(0.0, 2.0 * math.pi, points, endpoint=False)
 
 
+_MACHINE_FLAGS = {"wz": ("gamma", "gamma_prime", "zeta"), "bh": ("xi", "eta", "theta")}
+
+
 def _check_machine_flags(args):
     """Refuse a non-finite machine parameter by its flag, before any formula."""
-    for name in ("gamma", "gamma_prime", "zeta", "xi", "eta", "theta"):
+    for name in _MACHINE_FLAGS[args.machine]:
         value = getattr(args, name)
         if value is not None and not math.isfinite(value):
             flag = "--" + name.replace("_", "-")
@@ -279,12 +289,22 @@ def _load_outcomes(path: Path) -> dict:
     return outcomes
 
 
+# the keys a --config file may set: the search settings and the sample count
+_CONFIG_KEYS = {f.name for f in dataclasses.fields(OptimizerConfig)} | {"n_samples"}
+
+
 def cmd_experiment(args) -> int:
     cfg_data = {}
     if args.config:
         cfg_data = json.loads(Path(args.config).read_text())
         if not isinstance(cfg_data, dict):
             raise InvalidInputError("--config must hold a JSON object")
+        unknown = sorted(set(cfg_data) - _CONFIG_KEYS)
+        if unknown:
+            raise InvalidInputError(
+                f"--config has unknown key(s) {', '.join(map(repr, unknown))}; "
+                f"known keys: {', '.join(sorted(_CONFIG_KEYS))}"
+            )
     if args.seed is not None:
         cfg_data["seed"] = args.seed
     cfg = OptimizerConfig.from_json(cfg_data)
@@ -343,6 +363,20 @@ def cmd_geometry(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+# Flags that several commands take; each command adds only the ones it reads.
+_FLAGS = {
+    "--seed": dict(type=int, default=None, help="RNG seed (default: command-specific)"),
+    "--json": dict(action="store_true", help="emit JSON instead of text/CSV"),
+    "--out": dict(default=None, help="write output to a path"),
+    "--sweep-points": dict(type=int, default=100, help="number of sweep grid points"),
+}
+
+
+def _add_flags(parser, *flags):
+    for flag in flags:
+        parser.add_argument(flag, **_FLAGS[flag])
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="magicbroadcast",
@@ -351,66 +385,66 @@ def build_parser() -> argparse.ArgumentParser:
             "broadcasting-unitary optimization experiments."
         ),
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None,
-                        help="RNG seed (default: command-specific)")
-    common.add_argument("--json", action="store_true",
-                        help="emit JSON instead of text/CSV")
-    common.add_argument("--out", default=None, help="write output to a path")
-    common.add_argument("--config", default=None,
-                        help="JSON config file path")
-
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("magic", parents=[common],
-                       help="magic measures of a single state",
+    p = sub.add_parser("magic", help="magic measures of a single state",
                        epilog=STATE_SPEC_HELP)
     p.add_argument("state", help=STATE_SPEC_HELP)
+    _add_flags(p, "--json", "--out")
     p.set_defaults(func=cmd_magic)
 
     p = sub.add_parser(
-        "clone", parents=[common],
+        "clone",
         help="cloning-machine sweeps (CSV: theta|zeta,input_magic,"
              "output_magic,ratio)",
     )
-    p.add_argument("machine", choices=["wz", "bh"])
-    p.add_argument("--ref", choices=["T", "H", "zero", "plus"],
-                   help="named reference state for the wz machine")
-    p.add_argument("--gamma", type=float, default=None,
-                   help="wz reference polar angle")
-    p.add_argument("--gamma-prime", type=float, default=0.0,
-                   help="wz reference phase")
-    p.add_argument("--xi", type=float, default=1.0 / 6.0,
-                   help="bh machine parameter xi")
-    p.add_argument("--eta", type=float, default=None,
-                   help="bh machine parameter eta (default: Schwarz maximum)")
-    p.add_argument("--theta", type=float, default=T_POLAR_ANGLE,
-                   help="bh input polar angle")
+    machines = p.add_subparsers(dest="machine", required=True)
+
+    p = machines.add_parser("wz", help="Wootters-Zurek machine")
+    ref = p.add_mutually_exclusive_group(required=True)
+    ref.add_argument("--ref", choices=list(_WZ_REFS),
+                     help="named reference state")
+    ref.add_argument("--gamma", type=float, default=None,
+                     help="reference polar angle")
+    p.add_argument("--gamma-prime", type=float, default=None,
+                   help="reference phase, with --gamma (default 0)")
     p.add_argument("--zeta", type=float, default=0.0,
-                   help="fixed phase for wz theta sweeps")
+                   help="fixed phase for theta sweeps")
     p.add_argument("--input", nargs="*", default=None,
-                   help=f"wz input state(s); {STATE_SPEC_HELP}")
-    p.add_argument("--sweep-points", type=int, default=100,
-                   help="number of sweep grid points")
+                   help=f"input state(s); {STATE_SPEC_HELP}")
+    _add_flags(p, "--sweep-points", "--json", "--out")
+    p.set_defaults(func=cmd_clone)
+
+    p = machines.add_parser("bh", help="Buzek-Hillery machine")
+    p.add_argument("--xi", type=float, default=1.0 / 6.0,
+                   help="machine parameter xi")
+    p.add_argument("--eta", type=float, default=None,
+                   help="machine parameter eta (default: Schwarz maximum)")
+    p.add_argument("--theta", type=float, default=T_POLAR_ANGLE,
+                   help="input polar angle")
+    _add_flags(p, "--sweep-points", "--json", "--out")
     p.set_defaults(func=cmd_clone)
 
     from .checks import suite_names
 
-    p = sub.add_parser("verify", parents=[common],
-                       help="run a property-verification suite")
+    p = sub.add_parser("verify", help="run a property-verification suite")
     p.add_argument("suite", choices=suite_names())
     p.add_argument("--samples", type=int, default=None,
                    help="sample count (default: suite-specific)")
+    _add_flags(p, "--seed", "--json", "--out")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("experiment", parents=[common],
+    p = sub.add_parser("experiment",
                        help="batch broadcasting-unitary optimization")
     p.add_argument("objective", choices=["magic", "state"])
     p.add_argument("--samples", type=int, default=None,
                    help="number of Haar samples (default 200)")
+    _add_flags(p, "--seed")
+    p.add_argument("--config", default=None, help="JSON config file path")
+    p.add_argument("--out", default=None, help="output directory (default: .)")
     p.set_defaults(func=cmd_experiment)
 
-    p = sub.add_parser("geometry", parents=[common],
+    p = sub.add_parser("geometry",
                        help="equal-ratio line/polytope broadcast certificate")
     p.add_argument("sys0", help="system line start, 'mx,my,mz'")
     p.add_argument("sys1", help="system line end")
@@ -418,6 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("aux1", help="auxiliary line end")
     p.add_argument("--level", type=float, required=True,
                    help="polytope level r >= 1")
+    _add_flags(p, "--json", "--out")
     p.set_defaults(func=cmd_geometry)
 
     return parser

@@ -106,10 +106,12 @@ def wz_state_check(p: WZParams, state: PureState) -> WZCheck:
 
     The machine angle is taken as theta = arccos |<psi_ref|state>|, so the
     reported output magic is |<psi_ref|state>| times the reference magic.
+    A state that is not a qubit state is refused by `rom_qubit`, before the
+    overlap reads its amplitudes.
     """
+    input_magic = rom_qubit(state.density())
     overlap = min(1.0, abs(complex(np.vdot(p.reference().amps, state.amps))))
     theta = math.acos(overlap)
-    input_magic = rom_qubit(state.density())
     output_magic = overlap * p.reference_magic()
     return WZCheck(
         input_magic=input_magic,

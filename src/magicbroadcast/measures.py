@@ -54,21 +54,28 @@ class MagicReport:
         }
 
 
-def _check_qubits(shape: tuple, n: int, axes: int = 1):
-    """Raise unless the last `axes` lengths of `shape` all equal 2^n."""
-    if shape[-axes:] != (2 ** n,) * axes:
-        raise InvalidDimensionError(f"shape {shape} does not match {n} qubit(s)")
+def _check_qubits(shape: tuple, axes: int = 1) -> int:
+    """The n of an array whose last `axes` lengths all equal 2^n (the one
+    place n is read; `pauli_matrices` refuses an n outside {1, 2})."""
+    dims = shape[-axes:]
+    if len(dims) != axes or len(set(dims)) != 1:
+        block = ", ".join(["d"] * axes)
+        raise InvalidDimensionError(f"expected shape (..., {block}), got {shape}")
+    d = dims[0]
+    if d < 1 or d & (d - 1):
+        raise InvalidDimensionError(f"dimension {d} is not a power of two")
+    return d.bit_length() - 1
 
 
-def _pauli_traces(rho: np.ndarray, n: int) -> np.ndarray:
+def _pauli_traces(rho: np.ndarray) -> np.ndarray:
     """Tr(P rho) for all 4^n Pauli strings P, over densities (..., 2^n, 2^n)."""
+    n = _check_qubits(rho.shape, axes=2)
     return np.einsum("pij,...ji->...p", pauli_matrices(n), rho).real
 
 
-def witness_d(rho: DensityMatrix, n: int) -> float:
+def witness_d(rho: DensityMatrix) -> float:
     """D = 2^{-n} sum_P |Tr(P rho)| over the full Pauli group."""
-    _check_qubits(rho.mat.shape, n, axes=2)
-    return float(np.abs(_pauli_traces(rho.mat, n)).sum() / 2 ** n)
+    return float(np.abs(_pauli_traces(rho.mat)).sum() / rho.dim)
 
 
 def rom_batch(bloch: np.ndarray) -> np.ndarray:
@@ -177,33 +184,32 @@ def _m2(x: np.ndarray, norm) -> np.ndarray:
     return np.maximum(-np.log((x ** 4).sum(axis=-1) / norm) / _LOG2, 0.0)
 
 
-def sre2_pure_batch(amps: np.ndarray, n: int) -> np.ndarray:
+def sre2_pure_batch(amps: np.ndarray) -> np.ndarray:
     """M2 = -log2[ sum_P <psi|P|psi>^4 / 2^n ] over amplitudes (..., 2^n)."""
-    _check_qubits(amps.shape, n)
+    n = _check_qubits(amps.shape)
     expectations = np.einsum(
         "pij,...i,...j->...p", pauli_matrices(n), amps.conj(), amps
     ).real
     return _m2(expectations, 2 ** n)
 
 
-def sre2_extended_batch(rho: np.ndarray, n: int) -> np.ndarray:
+def sre2_extended_batch(rho: np.ndarray) -> np.ndarray:
     """-log2[ sum Tr(P rho)^4 / sum Tr(P rho)^2 ] over densities (..., d, d).
 
     This purity-normalized extension coincides with M2 on pure states.
     """
-    _check_qubits(rho.shape, n, axes=2)
-    traces = _pauli_traces(rho, n)
+    traces = _pauli_traces(rho)
     return _m2(traces, (traces ** 2).sum(axis=-1))
 
 
-def sre2_pure(psi: PureState, n: int) -> float:
+def sre2_pure(psi: PureState) -> float:
     """`sre2_pure_batch` of one pure n-qubit state."""
-    return float(sre2_pure_batch(psi.amps, n))
+    return float(sre2_pure_batch(psi.amps))
 
 
-def sre2_extended(rho: DensityMatrix, n: int) -> float:
+def sre2_extended(rho: DensityMatrix) -> float:
     """`sre2_extended_batch` of one n-qubit density matrix."""
-    return float(sre2_extended_batch(rho.mat, n))
+    return float(sre2_extended_batch(rho.mat))
 
 
 def magic_power(unitary: np.ndarray) -> float:
@@ -219,7 +225,7 @@ def magic_power(unitary: np.ndarray) -> float:
     if not defect <= tol.UNITARITY:        # also rejects NaN from overflow
         raise InvalidUnitaryError("matrix is not unitary")
     images = stabilizer_states(2) @ unitary.T
-    return float(sre2_pure_batch(images, 2).mean())
+    return float(sre2_pure_batch(images).mean())
 
 
 def magic_report(state) -> MagicReport:
@@ -230,12 +236,11 @@ def magic_report(state) -> MagicReport:
     else:
         rho = state
         pure = None
-    n = rho.dim.bit_length() - 1            # witness_d rejects a non-power of 2
     return MagicReport(
-        n=n,
-        witness_d=witness_d(rho, n),
+        n=_check_qubits(rho.mat.shape, axes=2),
+        witness_d=witness_d(rho),
         rom=rom_qubit(rho) if rho.dim == 2 else None,
-        sre2=sre2_pure(pure, n) if pure is not None else None,
-        extended_sre2=sre2_extended(rho, n),
+        sre2=sre2_pure(pure) if pure is not None else None,
+        extended_sre2=sre2_extended(rho),
     )
 

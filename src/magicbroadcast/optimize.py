@@ -15,6 +15,7 @@ A single run is strictly deterministic given its seed.
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 import numbers
 from dataclasses import dataclass
@@ -167,10 +168,8 @@ class OptimizerConfig:
 
     @classmethod
     def from_json(cls, data: dict) -> "OptimizerConfig":
-        known = {k: data[k] for k in
-                 ("population", "max_evals", "epsilon", "seed", "restarts")
-                 if k in data}
-        return cls(**known)
+        names = [f.name for f in dataclasses.fields(cls)]
+        return cls(**{k: data[k] for k in names if k in data})
 
 
 @dataclass(frozen=True)
@@ -360,15 +359,8 @@ def batch_experiment(
         if precomputed is not None and i in precomputed:
             outcome = precomputed[i]
         else:
-            sample_seed = cfg.seed + i
-            psi = haar_random_pure(2, sample_seed)
-            run_cfg = OptimizerConfig(
-                population=cfg.population,
-                max_evals=cfg.max_evals,
-                epsilon=cfg.epsilon,
-                seed=sample_seed,
-                restarts=cfg.restarts,
-            )
+            run_cfg = dataclasses.replace(cfg, seed=cfg.seed + i)
+            psi = haar_random_pure(2, run_cfg.seed)
             outcome = isres_optimize(objective, psi, run_cfg)
             if outcome_sink is not None:
                 outcome_sink(i, outcome)

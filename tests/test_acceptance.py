@@ -217,7 +217,7 @@ def test_criterion_09_geometry_certificate_vs_dense_scan():
 def test_criterion_10_faithfulness_and_clifford_magic_power():
     worst_sre = 0.0
     for n in (1, 2):
-        vals = sre2_pure_batch(stabilizer_states(n), n)
+        vals = sre2_pure_batch(stabilizer_states(n))
         worst_sre = max(worst_sre, float(np.max(np.abs(vals))))
 
     rng = np.random.default_rng(0)

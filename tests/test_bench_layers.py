@@ -26,15 +26,18 @@ from magicbroadcast import checks, cloners, measures, optimize, polytope
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
-def _import_layers(monkeypatch):
+_BENCH_MODULES = ("layers", "spans", "workloads")
+
+
+def _import_layers(monkeypatch, module="layers"):
     monkeypatch.syspath_prepend(str(BENCH))
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    for name in ("layers", "spans"):
+    for name in _BENCH_MODULES:
         monkeypatch.delitem(sys.modules, name, raising=False)
     try:
-        return importlib.import_module("layers")
+        return importlib.import_module(module)
     finally:
-        for name in ("layers", "spans"):
+        for name in _BENCH_MODULES:
             sys.modules.pop(name, None)
 
 
@@ -115,3 +118,17 @@ def test_build_unitary_takes_the_params_of_a_search_outcome():
     cfg = optimize.OptimizerConfig(population=4, max_evals=8, restarts=1)
     (outcome,) = optimize.batch_experiment(1, "magic", cfg).per_sample
     assert measures.magic_power(optimize.build_unitary(outcome.params)) == outcome.magic_power
+
+
+def test_the_query_mix_parses_with_the_per_command_flags(monkeypatch):
+    # building the inputs parses every argv of the mix and of ERROR_INPUTS
+    workloads = _import_layers(monkeypatch, "workloads")
+    queries = workloads.Queries(seed=1, blocks=1)
+    calls = queries.inputs(0)
+    assert len(calls) == workloads.CALLS_PER_BLOCK
+    assert sum(q.kind == "error" for q in calls) == len(workloads.ERROR_INPUTS)
+    clones = [q.ns for q in calls if q.handler == "cmd_clone"]
+    # the layer table reads `machine`, wz's `input` and an integer `sweep_points`
+    assert {ns.machine for ns in clones} == {"wz", "bh"}
+    assert all(isinstance(ns.sweep_points, int) for ns in clones)
+    assert all(hasattr(ns, "input") for ns in clones if ns.machine == "wz")

@@ -106,7 +106,7 @@ def _loop_clifford(amps, indices) -> np.ndarray:
         psi = PureState(a)
         rotated = PureState(group[k] @ psi.amps)
         out.append(max(
-            abs(sre2_pure(rotated, 1) - sre2_pure(psi, 1)),
+            abs(sre2_pure(rotated) - sre2_pure(psi)),
             abs(rom_qubit(rotated.density()) - rom_qubit(psi.density())),
         ))
     return np.array(out)
@@ -117,8 +117,8 @@ def _loop_additivity(psis, phis) -> np.ndarray:
     out = []
     for a, b in zip(psis, phis):
         psi, phi = PureState(a), PureState(b)
-        joint = sre2_pure(PureState(np.kron(psi.amps, phi.amps)), 2)
-        out.append(abs(joint - sre2_pure(psi, 1) - sre2_pure(phi, 1)))
+        joint = sre2_pure(PureState(np.kron(psi.amps, phi.amps)))
+        out.append(abs(joint - sre2_pure(psi) - sre2_pure(phi)))
     return np.array(out)
 
 
@@ -145,7 +145,7 @@ def test_batched_additivity_matches_the_per_sample_loop(seed):
 
 @pytest.mark.parametrize("name", ["clifford", "additivity", "monotone"])
 def test_a_nan_from_the_sre2_core_fails_the_suite(monkeypatch, name):
-    def nan(amps, n):
+    def nan(amps):
         return np.full(amps.shape[:-1], np.nan)
 
     _plant(monkeypatch, measures.sre2_pure_batch, nan)
@@ -159,7 +159,7 @@ def _reject_constant(name):
 
 
 def test_a_nan_verdict_prints_valid_json(monkeypatch, capsys):
-    def nan(amps, n):
+    def nan(amps):
         return np.full(amps.shape[:-1], np.nan)
 
     _plant(monkeypatch, measures.sre2_pure_batch, nan)

@@ -3,8 +3,10 @@ import io
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +16,7 @@ from hypothesis import strategies as st
 
 import magicbroadcast
 from magicbroadcast.checks import suite_names
-from magicbroadcast.cli import main, parse_state_spec
+from magicbroadcast.cli import build_parser, main, parse_state_spec
 from magicbroadcast.states import h_state, t_state
 
 
@@ -95,6 +97,37 @@ def test_magic_two_qubit_text_mode_points_to_json(capsys):
     code, out, _ = run(capsys, "magic", "amps=0.5,0.5,0.5,0.5", "--json")
     assert code == 0
     assert json.loads(out)["n"] == 2
+
+
+def test_magic_dimension_that_is_not_a_power_of_two_is_named(capsys):
+    code, out, err = run(capsys, "magic", "amps=0.6,0.8,0", "--json")
+    assert (code, out) == (2, "")
+    assert err == "error: dimension 3 is not a power of two\n"
+
+
+def test_clone_wz_two_qubit_input_is_usage_error(capsys):
+    # numpy's reshape error used to reach the user
+    code, out, err = run(capsys, "clone", "wz", "--ref", "T", "--input", "amps=0.5,0.5,0.5,0.5")
+    assert (code, out) == (2, "")
+    assert err == "error: expected a qubit state, got dim 4\n"
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    st.integers(0, 2 ** 32 - 1),
+    st.sampled_from([["--ref", "T"], ["--ref", "zero"], ["--gamma", "0.7", "--gamma-prime", "0.2"]]),
+    st.booleans(),
+)
+def test_clone_wz_refuses_every_two_qubit_amplitude_spec(seed, machine, qubit_first):
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    spec = "amps=" + ",".join(repr(complex(a)).strip("()") for a in z / np.linalg.norm(z))
+    specs = ["H", spec] if qubit_first else [spec]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["clone", "wz", *machine, "--input", *specs])
+    assert (code, out.getvalue()) == (2, "")
+    assert err.getvalue() == "error: expected a qubit state, got dim 4\n"
 
 
 def test_clone_wz_named_input(capsys):
@@ -195,6 +228,118 @@ def _reject_constant(name):
 
 
 _S3 = 1.0 / math.sqrt(3.0)
+_ENDS = [",".join([repr(_S3)] * 3), ",".join([repr(-_S3)] * 3)] * 2
+# Numeric flag values: the edge cases, plus 1.2, a value most flags accept
+# (a level, an angle), so that runs also get past the checks.
+_EDGE = ["nan", "inf", "-inf", "0", "-0", "-0.1", "1e308", "1.2"]
+_COUNTS = st.sampled_from(["0", "1", "-1"])
+_SPECS = st.one_of(
+    st.sampled_from(["T", "H", "zero", "amps=0.6,0.8", "amps=0.6,0.8,0",
+                     "amps=0.5,0.5,0.5,0.5", "not-a-state"]),
+    st.lists(st.sampled_from(_EDGE), min_size=2, max_size=2).map(",".join),
+)
+# every flag of every command, with the values it is drawn with ({tmp} is
+# the example's temporary directory, which holds a tiny search config)
+_GRAMMAR_FLAGS = {
+    "--json": None,
+    "--out": st.just("{tmp}/out"),
+    "--config": st.sampled_from(["{tmp}/cfg.json", "{tmp}/missing.json"]),
+    "--seed": st.sampled_from(["0", "1", "-1", str(2 ** 64)]),
+    "--samples": _COUNTS,
+    "--sweep-points": _COUNTS,
+    "--ref": st.sampled_from(["T", "H", "zero", "plus"]),
+    "--input": _SPECS,
+    **{flag: st.sampled_from(_EDGE) for flag in (
+        "--level", "--gamma", "--gamma-prime", "--zeta", "--xi", "--eta", "--theta")},
+}
+# the flags each command reads; the grammar draws mostly these, plus at most
+# one flag of any command
+_OWN_FLAGS = {
+    "magic": ("--json", "--out"),
+    "wz": ("--gamma-prime", "--zeta", "--input", "--sweep-points", "--json", "--out"),
+    "bh": ("--xi", "--eta", "--theta", "--sweep-points", "--json", "--out"),
+    "verify": ("--seed", "--json", "--out"),
+    "experiment": ("--seed",),
+    "geometry": ("--json", "--out"),
+}
+_COORDS = st.one_of(st.sampled_from(_EDGE), st.floats(-1.0, 1.0).map(repr))
+_RANDOM_ENDS = st.lists(st.lists(_COORDS, min_size=2, max_size=4).map(",".join),
+                        min_size=4, max_size=4)
+# endpoints on the common level 1.2, which the certificate accepts
+_LEVEL_ENDS = st.lists(st.sampled_from(
+    ["0.5,0.4,0.3", "-0.2,0.6,-0.4", "0.3,-0.5,0.4", "0.6,0.0,-0.6"]), min_size=4, max_size=4)
+
+
+@st.composite
+def _cli_argv(draw):
+    """A command and its positionals, with flags drawn from every command."""
+    command = draw(st.sampled_from(["magic", "clone", "verify", "experiment", "geometry"]))
+    argv = [command]
+    if command == "magic":
+        argv.append(draw(_SPECS))
+    elif command == "clone":
+        argv.append(draw(st.sampled_from(["wz", "bh"])))
+        if argv[-1] == "wz":
+            ref = draw(st.sampled_from(["--ref", "--gamma"]))
+            argv.append(f"{ref}={draw(_GRAMMAR_FLAGS[ref])}")
+    elif command == "verify":
+        samples = draw(st.sampled_from(["-1", "0", "1", "2", "7"]))
+        argv += [draw(st.sampled_from(suite_names())), f"--samples={samples}"]
+    elif command == "experiment":
+        # a search runs only on the tiny config; other draws are refused first
+        argv += [draw(st.sampled_from(["magic", "state"])), f"--samples={draw(_COUNTS)}",
+                 "--config={tmp}/cfg.json", "--out={tmp}/run"]
+    else:
+        argv.append(f"--level={draw(st.one_of(st.sampled_from(_EDGE), st.just('1.2')))}")
+    own = _OWN_FLAGS[argv[1] if command == "clone" else command]
+    flags = draw(st.lists(st.sampled_from(own), max_size=3))
+    flags += draw(st.lists(st.sampled_from(sorted(_GRAMMAR_FLAGS)), max_size=1))
+    for flag in flags:
+        values = _GRAMMAR_FLAGS[flag]
+        argv.append(flag if values is None else f"{flag}={draw(values)}")
+    if command == "geometry":
+        argv += ["--"] + draw(st.one_of(_LEVEL_ENDS, _RANDOM_ENDS))
+    return argv
+
+
+def _exit_code(argv) -> int:
+    try:
+        return main(argv)
+    except SystemExit as exc:      # argparse refuses with SystemExit(2)
+        return exc.code
+
+
+@settings(max_examples=400, deadline=None)
+@given(_cli_argv())
+@example(["geometry", "--level=1.2", "--", "1e200,0,0", "0,1,0", "0,0,1", "-1,0,0"])
+@example(["geometry", "--level=1.2", "--json", "--", *_ENDS])
+@example(["geometry", "--level=1.2", "--", *_ENDS])
+@example(["verify", "geometry", "--samples=1", "--seed=1", "--json"])
+@example(["clone", "wz", "--ref=T", "--input=amps=0.5,0.5,0.5,0.5"])
+@example(["experiment", "state", "--samples=1", "--config={tmp}/cfg.json", "--out={tmp}/run"])
+def test_cli_grammar_exits_cleanly(argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        Path(tmp, "cfg.json").write_text(
+            json.dumps({"population": 4, "max_evals": 8, "restarts": 1}))
+        argv = [a.replace("{tmp}", tmp) for a in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = _exit_code(argv)
+        text = out.getvalue()
+        if code in (0, 1) and argv[0] != "experiment" and Path(tmp, "out").is_file():
+            assert text == ""
+            text = Path(tmp, "out").read_text()
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert "error:" in err.getvalue() and text == ""
+        assert "math domain error" not in err.getvalue()
+        assert "cannot reshape" not in err.getvalue()
+    if code == 0:
+        assert "nan" not in text.lower()
+    if code in (0, 1) and ("--json" in argv or argv[0] == "experiment"):
+        json.loads(text, parse_constant=_reject_constant)
+
+
 _NUMBERS = st.one_of(
     st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, -0.1, 1e200, 1e308]),
     st.floats(-1.0, 1.0),
@@ -215,7 +360,7 @@ def test_geometry_grammar_exits_cleanly(endpoints, level, as_json):
     argv += ["--"] + [",".join(map(repr, m)) for m in endpoints]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
+        code = _exit_code(argv)
     assert code in (0, 1, 2)
     if code == 2:
         assert err.getvalue().startswith("error:")
@@ -237,12 +382,53 @@ def test_verify_grammar_exits_cleanly(suite, samples, seed, as_json):
     argv += ["--json"] if as_json else []
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
+        code = _exit_code(argv)
     assert code in (0, 1, 2)
     if code == 2:
         assert err.getvalue().startswith("error:")
     elif as_json:
         json.loads(out.getvalue(), parse_constant=_reject_constant)
+
+
+# each command with a flag it does not read, and --ref with the --gamma flags
+_REFUSED_FLAGS = [
+    (("magic", "T"), ("--seed", "1"), "unrecognized arguments: --seed"),
+    (("magic", "T"), ("--config", "{cfg}"), "unrecognized arguments: --config"),
+    *[(("clone", "wz", "--ref", "T", "--input", "H"), flag, f"unrecognized arguments: {flag[0]}")
+      for flag in (("--seed", "1"), ("--config", "{cfg}"), ("--xi", "0.1"),
+                   ("--eta", "0.1"), ("--theta", "0.5"))],
+    *[(("clone", "bh"), flag, f"unrecognized arguments: {flag[0]}")
+      for flag in (("--seed", "1"), ("--config", "{cfg}"), ("--ref", "T"),
+                   ("--gamma", "0.3"), ("--gamma-prime", "1"), ("--zeta", "0.5"),
+                   ("--input", "H"))],
+    (("verify", "lemma1", "--samples", "10"), ("--config", "{cfg}"),
+     "unrecognized arguments: --config"),
+    (("experiment", "magic", "--samples", "1", "--config", "{cfg}", "--out", "{tmp}"),
+     ("--json",), "unrecognized arguments: --json"),
+    (("geometry", "--level", "1.2", "--json"), ("--seed", "1"),
+     "unrecognized arguments: --seed"),
+    (("geometry", "--level", "1.2", "--json"), ("--config", "{cfg}"),
+     "unrecognized arguments: --config"),
+    (("clone", "wz", "--ref", "T", "--input", "H"), ("--gamma", "0.3"),
+     "argument --gamma: not allowed with argument --ref"),
+    (("clone", "wz", "--ref", "T", "--input", "H"), ("--gamma-prime", "1"),
+     "error: --gamma-prime needs --gamma, not --ref"),
+]
+
+
+@pytest.mark.parametrize("base,flag,words", _REFUSED_FLAGS)
+def test_a_flag_the_command_does_not_read_is_refused(tmp_path, capsys, base, flag, words):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"population": 4, "max_evals": 8, "restarts": 1}))
+    base = [a.format(cfg=cfg, tmp=tmp_path / "run") for a in base]
+    flag = [a.format(cfg=cfg) for a in flag]
+    ends = ["--", *_ENDS] if base[0] == "geometry" else []
+    assert _exit_code(base + ends) == 0          # the command runs without the flag
+    capsys.readouterr()
+    code = _exit_code(base + flag + ends)
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert words in err
 
 
 def test_experiment_writes_and_resumes(tmp_path, capsys):
@@ -399,6 +585,8 @@ def test_experiment_negative_seed_is_usage_error_and_writes_nothing(tmp_path, ca
     ('{"restarts": true}', "restarts"),
     ('[1]', "--config"),
     ('"x"', "--config"),
+    ('{"populaton": 8, "max_evals": 16, "restarts": 1}', "'populaton'"),
+    ('{"population": 4, "max_evals": 8, "n_sample": 2}', "'n_sample'"),
 ])
 def test_experiment_bad_config_field_is_usage_error(tmp_path, capsys, text, field):
     # NaN and Infinity used to run with wrong results; the rest printed a traceback
@@ -444,7 +632,7 @@ def test_clone_single_point_sweep(capsys):
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 @pytest.mark.parametrize("machine,flag", [
     (["wz", "--gamma", "1.0"], "--gamma"),
-    (["wz", "--ref", "T"], "--gamma-prime"),
+    (["wz", "--gamma", "1.0"], "--gamma-prime"),
     (["wz", "--ref", "T"], "--zeta"),
     (["bh"], "--xi"),
     (["bh"], "--eta"),
@@ -467,6 +655,31 @@ def test_clone_bh_xi_out_of_range_is_usage_error(capsys, xi, eta):
     assert code == 2
     assert out == ""
     assert err == f"error: xi must lie in [0, 1/2], got {float(xi)}\n"
+
+
+def _readme_commands() -> list:
+    """The argv of each `magicbroadcast` line in the README's command-line block."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line, comments=True)[1:]
+            for line in lines if line.startswith("magicbroadcast ")]
+
+
+README_COMMANDS = _readme_commands()
+
+
+def test_the_readme_lists_every_command():
+    assert {argv[0] for argv in README_COMMANDS} == {
+        "magic", "clone", "verify", "experiment", "geometry"}
+
+
+@pytest.mark.parametrize("argv", README_COMMANDS, ids=" ".join)
+def test_a_readme_command_line_parses_and_runs(tmp_path, monkeypatch, capsys, argv):
+    build_parser().parse_args(argv)
+    if argv[0] != "experiment":          # a 200-sample search; parsing is the check
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 0
 
 
 def test_python_dash_m_runs_the_cli():

@@ -13,6 +13,7 @@ from magicbroadcast.errors import (
     InvalidDimensionError,
     InvalidInputError,
     InvalidUnitaryError,
+    UnsupportedError,
 )
 from magicbroadcast.measures import (
     magic_power,
@@ -68,7 +69,7 @@ def test_witness_lemma_relation_on_named_states():
     # R = 2D - 1 for a single qubit
     for psi in (t_state(), h_state(), PureState([1.0, 0.0])):
         rho = psi.density()
-        assert 2.0 * witness_d(rho, 1) - 1.0 == pytest.approx(
+        assert 2.0 * witness_d(rho) - 1.0 == pytest.approx(
             rom_qubit(rho), abs=1e-12
         )
 
@@ -171,12 +172,12 @@ def test_lp_oracle_returns_an_empty_batch_for_no_rows():
 
 
 def test_sre2_values():
-    assert sre2_pure(t_state(), 1) == pytest.approx(
+    assert sre2_pure(t_state()) == pytest.approx(
         math.log2(1.5), abs=1e-12
     )
-    assert sre2_pure(PureState([1.0, 0.0]), 1) == pytest.approx(0.0, abs=1e-14)
+    assert sre2_pure(PureState([1.0, 0.0])) == pytest.approx(0.0, abs=1e-14)
     # maximally mixed state carries no magic
-    assert sre2_extended(DensityMatrix(np.eye(2) / 2.0), 1) == pytest.approx(
+    assert sre2_extended(DensityMatrix(np.eye(2) / 2.0)) == pytest.approx(
         0.0, abs=1e-14
     )
 
@@ -185,8 +186,8 @@ def test_sre2_extended_coincides_with_pure_value():
     rng = np.random.default_rng(2)
     for _ in range(50):
         psi = haar_random_pure(2, rng)
-        assert sre2_extended(psi.density(), 1) == pytest.approx(
-            sre2_pure(psi, 1), abs=1e-10
+        assert sre2_extended(psi.density()) == pytest.approx(
+            sre2_pure(psi), abs=1e-10
         )
 
 
@@ -194,12 +195,12 @@ def test_sre2_batch_matches_scalar():
     rng = np.random.default_rng(3)
     states = [haar_random_pure(4, rng) for _ in range(20)]
     amps = np.array([psi.amps for psi in states])
-    assert [sre2_pure(psi, 2) for psi in states] == list(sre2_pure_batch(amps, 2))
+    assert [sre2_pure(psi) for psi in states] == list(sre2_pure_batch(amps))
     pure = [psi.density() for psi in states]
     reduced = [partial_trace(rho, 0) for rho in pure]
-    for rhos, n in ((pure, 2), (reduced, 1)):
-        batch = sre2_extended_batch(np.array([rho.mat for rho in rhos]), n)
-        assert [sre2_extended(rho, n) for rho in rhos] == list(batch)
+    for rhos in (pure, reduced):
+        batch = sre2_extended_batch(np.array([rho.mat for rho in rhos]))
+        assert [sre2_extended(rho) for rho in rhos] == list(batch)
 
 
 _ORACLE_PAULIS = (
@@ -230,45 +231,63 @@ def test_sre2_batches_match_a_kron_built_oracle(n):
     want_pure = [-math.log2((t ** 4).sum() / 2 ** n) for t in t_pure]
     want_mixed = [-math.log2((t ** 4).sum() / (t ** 2).sum()) for t in t_mixed]
     for got, want in (
-        (sre2_pure_batch(amps, n), want_pure),
-        (sre2_extended_batch(pure, n), want_pure),
-        (sre2_extended_batch(mixed, n), want_mixed),
+        (sre2_pure_batch(amps), want_pure),
+        (sre2_extended_batch(pure), want_pure),
+        (sre2_extended_batch(mixed), want_mixed),
     ):
         assert np.allclose(got, want, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("call", [
-    lambda: sre2_pure_batch(np.ones((3, 4)) / 2, 1),
-    lambda: sre2_pure_batch(np.ones(2) / math.sqrt(2), 2),
-    lambda: sre2_extended_batch(np.eye(4)[None] / 4, 1),
-    lambda: sre2_extended_batch(np.eye(2)[None] / 2, 2),
-    lambda: sre2_extended_batch(np.ones((3, 2, 4)) / 4, 1),
-    lambda: sre2_extended_batch(np.ones(2) / 2, 1),
-    lambda: sre2_pure(PureState([1.0, 0.0, 0.0, 0.0]), 1),
-    lambda: sre2_extended(DensityMatrix(np.eye(2) / 2), 2),
-    lambda: witness_d(DensityMatrix(np.eye(3) / 3), 1),
+    lambda: sre2_pure_batch(np.ones((3, 3)) / math.sqrt(3)),
+    lambda: sre2_pure_batch(np.ones(6) / math.sqrt(6)),
+    lambda: sre2_pure_batch(np.float64(1.0)),
+    lambda: sre2_extended_batch(np.eye(3)[None] / 3),
+    lambda: sre2_extended_batch(np.ones((3, 2, 4)) / 4),
+    lambda: sre2_extended_batch(np.ones(2) / 2),
+    lambda: sre2_pure(PureState([0.6, 0.8, 0.0])),
+    lambda: sre2_extended(DensityMatrix(np.eye(3) / 3)),
+    lambda: witness_d(DensityMatrix(np.eye(3) / 3)),
     lambda: magic_report(PureState([0.6, 0.8, 0.0])),
 ])
 def test_a_dimension_that_does_not_match_n_qubits_is_refused(call):
+    # n is read from the array: a trailing length that is not 2^n, a density
+    # that is not square, or an array without the axes is refused
     with pytest.raises(InvalidDimensionError):
         call()
 
 
+@pytest.mark.parametrize("shape,error,words", [
+    ((3,), InvalidDimensionError, "dimension 3 is not a power of two"),
+    ((2, 5, 5), InvalidDimensionError, "dimension 5 is not a power of two"),
+    ((2, 4, 2), InvalidDimensionError, "expected shape (..., d, d), got (2, 4, 2)"),
+    ((1, 1), UnsupportedError, "got 0"),
+    ((8,), UnsupportedError, "got 3"),
+    ((8, 8), UnsupportedError, "got 3"),
+])
+def test_the_qubit_count_comes_from_the_array(shape, error, words):
+    array = np.ones(shape, dtype=complex)
+    call = sre2_pure_batch if len(shape) == 1 else sre2_extended_batch
+    with pytest.raises(error) as info:
+        call(array)
+    assert words in str(info.value)
+
+
 def test_sre2_additivity_spot_check():
     psi, phi = t_state(), h_state()
-    joint = sre2_pure(PureState(np.kron(psi.amps, phi.amps)), 2)
+    joint = sre2_pure(PureState(np.kron(psi.amps, phi.amps)))
     assert joint == pytest.approx(
-        sre2_pure(psi, 1) + sre2_pure(phi, 1), abs=1e-12
+        sre2_pure(psi) + sre2_pure(phi), abs=1e-12
     )
 
 
 def test_sre2_clifford_invariance_spot_check():
     rng = np.random.default_rng(4)
     psi = haar_random_pure(2, rng)
-    base = sre2_pure(psi, 1)
+    base = sre2_pure(psi)
     for u in clifford_group_1q():
         rotated = PureState(u @ psi.amps)
-        assert sre2_pure(rotated, 1) == pytest.approx(base, abs=1e-12)
+        assert sre2_pure(rotated) == pytest.approx(base, abs=1e-12)
 
 
 def test_magic_power_zero_on_clifford_and_positive_on_t_gate():
@@ -332,12 +351,12 @@ def test_magic_report_mixed_two_qubit_state():
 def test_monotone_gap_never_positive(seed):
     psi = haar_random_pure(4, seed)
     reduced = partial_trace(psi.density(), 0)
-    assert sre2_extended(reduced, 1) - sre2_pure(psi, 2) <= 1e-9
+    assert sre2_extended(reduced) - sre2_pure(psi) <= 1e-9
 
 
 def test_stabilizer_states_have_zero_sre2():
     for n in (1, 2):
-        vals = sre2_pure_batch(stabilizer_states(n), n)
+        vals = sre2_pure_batch(stabilizer_states(n))
         assert np.max(np.abs(vals)) <= 1e-12
         assert all(math.copysign(1.0, v) > 0 for v in vals)
 
