@@ -46,11 +46,12 @@ class VerificationReport:
         return self.max_violation <= self.tolerance
 
     def to_json(self) -> dict:
+        """Hand-written, unlike `states.JsonRecord`: the derived `pass` key
+        sits between two fields, and a non-finite max_violation is null."""
         return {
             "schema": 1,
             "check_name": self.check_name,
             "samples": self.samples,
-            # JSON has no NaN or infinity; a non-finite worst violation is null
             "max_violation": (self.max_violation
                               if math.isfinite(self.max_violation) else None),
             "tolerance": self.tolerance,
@@ -209,7 +210,7 @@ def _lemma1(rng, n: int) -> np.ndarray:
 def _clifford(rng, n: int) -> np.ndarray:
     """M2 and robustness of Haar qubit states under random Clifford rotations."""
     amps = haar_amps(rng, n, 2)
-    group = np.array(clifford_group_1q())
+    group = clifford_group_1q()
     cliffords = group[rng.integers(len(group), size=n)]
     pair = np.stack([amps, np.einsum("nij,nj->ni", cliffords, amps)])
     m2 = sre2_pure_batch(pair)

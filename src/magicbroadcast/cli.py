@@ -112,19 +112,20 @@ def _emit(text: str, out: str | None):
 # ---------------------------------------------------------------------------
 
 def cmd_magic(args) -> int:
-    state = parse_state_spec(args.state)
-    if state.dim != 2 and not args.json:
+    # the report refuses a dimension that is not a power of two first,
+    # so both output modes name it
+    report = magic_report(parse_state_spec(args.state))
+    if report.n != 1 and not args.json:
         raise UnsupportedError(
             "text output covers one-qubit states only; use --json"
         )
-    report = magic_report(state)
     if args.json:
         _emit(json.dumps(report.to_json()), args.out)
     else:
         _emit(
             "witness_d   = {}\nrom         = {}\nsre2        = {}\n"
             "extended_sre2 = {}".format(
-                _fmt(report.witness_d),
+                _fmt(report.d),
                 _fmt(report.rom),
                 _fmt(report.sre2),
                 _fmt(report.extended_sre2),
@@ -377,6 +378,26 @@ def _add_flags(parser, *flags):
         parser.add_argument(flag, **_FLAGS[flag])
 
 
+class _MachineParser(argparse.ArgumentParser):
+    """The parser of one clone machine.  wz's theta-sweep flags default to
+    None, so that a given one is refused beside --input; then their defaults
+    are filled in, and every wz namespace holds a float zeta and an int
+    sweep_points."""
+
+    _WZ_SWEEP = {"zeta": 0.0, "sweep_points": _FLAGS["--sweep-points"]["default"]}
+
+    def parse_known_args(self, args=None, namespace=None):
+        ns, extras = super().parse_known_args(args, namespace)
+        if hasattr(ns, "input"):         # only wz takes --input
+            for name, default in self._WZ_SWEEP.items():
+                if getattr(ns, name) is None:
+                    setattr(ns, name, default)
+                elif ns.input is not None:
+                    self.error(f"argument --{name.replace('_', '-')}: "
+                               "not allowed with argument --input")
+        return ns, extras
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="magicbroadcast",
@@ -398,7 +419,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="cloning-machine sweeps (CSV: theta|zeta,input_magic,"
              "output_magic,ratio)",
     )
-    machines = p.add_subparsers(dest="machine", required=True)
+    machines = p.add_subparsers(dest="machine", required=True,
+                                parser_class=_MachineParser)
 
     p = machines.add_parser("wz", help="Wootters-Zurek machine")
     ref = p.add_mutually_exclusive_group(required=True)
@@ -408,11 +430,12 @@ def build_parser() -> argparse.ArgumentParser:
                      help="reference polar angle")
     p.add_argument("--gamma-prime", type=float, default=None,
                    help="reference phase, with --gamma (default 0)")
-    p.add_argument("--zeta", type=float, default=0.0,
-                   help="fixed phase for theta sweeps")
+    p.add_argument("--zeta", type=float, default=None,
+                   help="fixed phase for theta sweeps (default 0)")
     p.add_argument("--input", nargs="*", default=None,
-                   help=f"input state(s); {STATE_SPEC_HELP}")
-    _add_flags(p, "--sweep-points", "--json", "--out")
+                   help=f"input state(s), instead of a sweep; {STATE_SPEC_HELP}")
+    p.add_argument("--sweep-points", **dict(_FLAGS["--sweep-points"], default=None))
+    _add_flags(p, "--json", "--out")
     p.set_defaults(func=cmd_clone)
 
     p = machines.add_parser("bh", help="Buzek-Hillery machine")

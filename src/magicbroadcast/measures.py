@@ -25,6 +25,7 @@ from .errors import InvalidDimensionError, InvalidInputError, InvalidUnitaryErro
 from .stabilizers import pauli_matrices, stabilizer_states
 from .states import (
     DensityMatrix,
+    JsonRecord,
     PureState,
     bloch_batch,
     bloch_from_density,
@@ -34,24 +35,14 @@ _LOG2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
-class MagicReport:
-    """Bundle of all quantifiers for one state."""
+class MagicReport(JsonRecord):
+    """Bundle of all quantifiers for one state; `d` is the witness D."""
 
     n: int
-    witness_d: float
+    d: float
     rom: float | None
     sre2: float | None
     extended_sre2: float
-
-    def to_json(self) -> dict:
-        return {
-            "schema": 1,
-            "n": self.n,
-            "d": self.witness_d,
-            "rom": self.rom,
-            "sre2": self.sre2,
-            "extended_sre2": self.extended_sre2,
-        }
 
 
 def _check_qubits(shape: tuple, axes: int = 1) -> int:
@@ -238,7 +229,7 @@ def magic_report(state) -> MagicReport:
         pure = None
     return MagicReport(
         n=_check_qubits(rho.mat.shape, axes=2),
-        witness_d=witness_d(rho),
+        d=witness_d(rho),
         rom=rom_qubit(rho) if rho.dim == 2 else None,
         sre2=sre2_pure(pure) if pure is not None else None,
         extended_sre2=sre2_extended(rho),

@@ -18,13 +18,14 @@ from __future__ import annotations
 import dataclasses
 import math
 import numbers
+import typing
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidInputError
 from .measures import magic_power, rom_batch, rom_qubit
-from .states import DensityMatrix, PureState, bloch_batch, haar_random_pure
+from .states import DensityMatrix, JsonRecord, PureState, bloch_batch, haar_random_pure
 from .states import pure_bloch_batch
 
 N_PARAMS = 15
@@ -173,7 +174,7 @@ class OptimizerConfig:
 
 
 @dataclass(frozen=True)
-class BroadcastOutcome:
+class BroadcastOutcome(JsonRecord):
     params: tuple               # the 15 chart angles, as floats
     objective_value: float
     sys_fidelity: float
@@ -184,21 +185,6 @@ class BroadcastOutcome:
     magic_power: float
     evals_used: int
     converged: bool
-
-    def to_json(self) -> dict:
-        return {
-            "schema": 1,
-            "params": list(self.params),
-            "objective_value": self.objective_value,
-            "sys_fidelity": self.sys_fidelity,
-            "aux_fidelity": self.aux_fidelity,
-            "sys_magic": self.sys_magic,
-            "aux_magic": self.aux_magic,
-            "input_magic": self.input_magic,
-            "magic_power": self.magic_power,
-            "evals_used": self.evals_used,
-            "converged": self.converged,
-        }
 
 
 def _es_run(objective, psi_amps, cfg, rng, budget, start=None):
@@ -303,41 +289,25 @@ def isres_optimize(
 
 
 def outcome_from_json(data: dict) -> BroadcastOutcome:
-    """Rebuild a BroadcastOutcome from its to_json() payload."""
-    return BroadcastOutcome(
-        params=tuple(_chart_angles(data["params"]).tolist()),
-        objective_value=float(data["objective_value"]),
-        sys_fidelity=float(data["sys_fidelity"]),
-        aux_fidelity=float(data["aux_fidelity"]),
-        sys_magic=float(data["sys_magic"]),
-        aux_magic=float(data["aux_magic"]),
-        input_magic=float(data["input_magic"]),
-        magic_power=float(data["magic_power"]),
-        evals_used=int(data["evals_used"]),
-        converged=bool(data["converged"]),
-    )
+    """Rebuild a BroadcastOutcome from its to_json() payload: `params` through
+    `_chart_angles`, every other field cast to its declared type."""
+    casts = typing.get_type_hints(BroadcastOutcome)
+    casts["params"] = lambda angles: tuple(_chart_angles(angles).tolist())
+    return BroadcastOutcome(**{f.name: casts[f.name](data[f.name])
+                               for f in dataclasses.fields(BroadcastOutcome)})
 
 
 @dataclass(frozen=True)
-class BatchSummary:
+class BatchSummary(JsonRecord):
     objective: str
     n_samples: int
     mean_fidelity: float
     min_fidelity: float
     mean_magic_power: float
     convergence_rate: float
-    per_sample: tuple
+    per_sample: tuple           # the BroadcastOutcomes; not in the JSON
 
-    def to_json(self) -> dict:
-        return {
-            "schema": 1,
-            "objective": self.objective,
-            "n_samples": self.n_samples,
-            "mean_fidelity": self.mean_fidelity,
-            "min_fidelity": self.min_fidelity,
-            "mean_magic_power": self.mean_magic_power,
-            "convergence_rate": self.convergence_rate,
-        }
+    _json_omit = ("per_sample",)
 
 
 def batch_experiment(

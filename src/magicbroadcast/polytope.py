@@ -23,30 +23,20 @@ import numpy as np
 
 from . import tolerances as tol
 from .errors import InconsistentReferenceError, InvalidInputError, InvalidLevelError
-from .states import bloch_vector
+from .states import JsonRecord, bloch_vector
 
 _ROOT_DEDUP = 1e-12
 
 
 @dataclass(frozen=True)
-class GeometryCertificate:
+class GeometryCertificate(JsonRecord):
     """Outcome of the equal-ratio broadcastability check at one level."""
 
     broadcastable: bool
-    common_t: tuple
     level: float
+    common_t: tuple
     sys_t: tuple
     aux_t: tuple
-
-    def to_json(self) -> dict:
-        return {
-            "schema": 1,
-            "broadcastable": self.broadcastable,
-            "level": self.level,
-            "common_t": list(self.common_t),
-            "sys_t": list(self.sys_t),
-            "aux_t": list(self.aux_t),
-        }
 
 
 def _check_level(r: float):
@@ -129,8 +119,8 @@ def broadcast_geometry_certificate(
                 common.append(0.5 * (ts + ta))
     return GeometryCertificate(
         broadcastable=bool(common),
-        common_t=tuple(common),
         level=r,
+        common_t=tuple(common),
         sys_t=tuple(sys_t),
         aux_t=tuple(aux_t),
     )

@@ -80,15 +80,15 @@ def _orbit(generators, start: np.ndarray) -> list:
 
 
 @functools.lru_cache(maxsize=None)
-def clifford_group_1q() -> tuple:
-    """The 24 single-qubit Clifford unitaries, up to global phase.
+def clifford_group_1q() -> np.ndarray:
+    """The 24 single-qubit Clifford unitaries up to global phase, a read-only
+    (24, 2, 2) array.
 
     Built as the closure of <H, S> acting on the identity.
     """
-    mats = tuple(_orbit((HADAMARD, PHASE_S), IDENTITY_2))
-    for m in mats:
-        m.setflags(write=False)
-    return mats
+    table = np.array(_orbit((HADAMARD, PHASE_S), IDENTITY_2))
+    table.setflags(write=False)
+    return table
 
 
 @functools.lru_cache(maxsize=None)

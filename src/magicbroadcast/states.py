@@ -1,7 +1,7 @@
 """State containers (pure vectors, density matrices) and the elementary
 operations on them: Bloch vectors as float (3,) arrays (`bloch_vector` checks
 one), Haar sampling, superposition, reduction, and the named single-qubit
-magic states.
+magic states; and `JsonRecord`, the JSON payload of every result record.
 
 All values are immutable after construction and every function is pure, so the
 whole module is safe for unrestricted parallel use.
@@ -9,7 +9,7 @@ whole module is safe for unrestricted parallel use.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -28,6 +28,21 @@ IDENTITY_2 = np.eye(2, dtype=complex)
 
 # Polar angle of the T-state Bloch vector (1,1,1)/sqrt(3): cos = 1/sqrt(3)
 T_POLAR_ANGLE = math.acos(1.0 / math.sqrt(3.0))
+
+
+class JsonRecord:
+    """Base of the result dataclasses: `to_json` is {"schema": 1} and then
+    the fields in declaration order, tuples as lists, minus `_json_omit`."""
+
+    _json_omit = ()
+
+    def to_json(self) -> dict:
+        payload = {"schema": 1}
+        for field in fields(self):
+            if field.name not in self._json_omit:
+                value = getattr(self, field.name)
+                payload[field.name] = list(value) if isinstance(value, tuple) else value
+        return payload
 
 
 @dataclass(frozen=True, eq=False)

@@ -19,7 +19,6 @@ UNITARITY = 1e-10           # U^dag U = I check
 LEMMA_EQUIV = 1e-8          # closed-form robustness vs LP oracle
 CLIFFORD_INVARIANCE = 1e-10
 ADDITIVITY = 1e-10
-SRE_ZERO = 1e-10            # stabilizer states must score zero
 MONOTONICITY = 1e-9         # partial-trace monotonicity slack
 
 # Geometry

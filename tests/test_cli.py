@@ -100,9 +100,11 @@ def test_magic_two_qubit_text_mode_points_to_json(capsys):
 
 
 def test_magic_dimension_that_is_not_a_power_of_two_is_named(capsys):
-    code, out, err = run(capsys, "magic", "amps=0.6,0.8,0", "--json")
-    assert (code, out) == (2, "")
-    assert err == "error: dimension 3 is not a power of two\n"
+    # both modes name it; text mode used to point to --json instead
+    for mode in (["--json"], []):
+        code, out, err = run(capsys, "magic", "amps=0.6,0.8,0", *mode)
+        assert (code, out) == (2, "")
+        assert err == "error: dimension 3 is not a power of two\n"
 
 
 def test_clone_wz_two_qubit_input_is_usage_error(capsys):
@@ -316,6 +318,7 @@ def _exit_code(argv) -> int:
 @example(["geometry", "--level=1.2", "--", *_ENDS])
 @example(["verify", "geometry", "--samples=1", "--seed=1", "--json"])
 @example(["clone", "wz", "--ref=T", "--input=amps=0.5,0.5,0.5,0.5"])
+@example(["clone", "wz", "--ref=T", "--input=H", "--zeta=5", "--sweep-points=7"])
 @example(["experiment", "state", "--samples=1", "--config={tmp}/cfg.json", "--out={tmp}/run"])
 def test_cli_grammar_exits_cleanly(argv):
     with tempfile.TemporaryDirectory() as tmp:
@@ -413,6 +416,11 @@ _REFUSED_FLAGS = [
      "argument --gamma: not allowed with argument --ref"),
     (("clone", "wz", "--ref", "T", "--input", "H"), ("--gamma-prime", "1"),
      "error: --gamma-prime needs --gamma, not --ref"),
+    # the theta-sweep flags beside --input; argparse expands --ze to --zeta
+    *[(("clone", "wz", "--ref", "T", "--input", "H"), flag,
+       f"error: argument {name}: not allowed with argument --input")
+      for flag, name in ((("--zeta", "5"), "--zeta"), (("--ze", "5"), "--zeta"),
+                         (("--sweep-points", "7"), "--sweep-points"))],
 ]
 
 
@@ -429,6 +437,13 @@ def test_a_flag_the_command_does_not_read_is_refused(tmp_path, capsys, base, fla
     out, err = capsys.readouterr()
     assert (code, out) == (2, "")
     assert words in err
+
+
+@pytest.mark.parametrize("extra", [[], ["--input", "H"], ["--zeta", "1", "--sweep-points", "3"]])
+def test_every_wz_namespace_holds_the_sweep_values(extra):
+    # the traced bench run reads an int sweep_points from every sweep namespace
+    ns = build_parser().parse_args(["clone", "wz", "--ref", "T", *extra])
+    assert (type(ns.zeta), type(ns.sweep_points)) == (float, int)
 
 
 def test_experiment_writes_and_resumes(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 
 import numpy as np
@@ -5,7 +7,7 @@ import pytest
 
 from magicbroadcast import optimize
 from magicbroadcast.errors import InvalidInputError
-from magicbroadcast.measures import magic_power, rom_batch, rom_qubit
+from magicbroadcast.measures import magic_power, magic_report, rom_batch, rom_qubit
 from magicbroadcast.optimize import (
     N_PARAMS,
     BroadcastOutcome,
@@ -17,6 +19,7 @@ from magicbroadcast.optimize import (
     isres_optimize,
     outcome_from_json,
 )
+from magicbroadcast.polytope import broadcast_geometry_certificate
 from magicbroadcast.states import (
     DensityMatrix,
     PureState,
@@ -149,10 +152,29 @@ def test_config_from_json_ignores_extra_fields():
 
 def test_outcome_json_round_trip():
     outcome = isres_optimize("magic", haar_random_pure(2, 13), FAST_CFG)
-    clone = outcome_from_json(outcome.to_json())
+    clone = outcome_from_json(json.loads(json.dumps(outcome.to_json())))
     assert isinstance(clone, BroadcastOutcome)
-    assert clone.params == outcome.params
-    assert clone.magic_power == pytest.approx(outcome.magic_power, abs=1e-15)
+    for field in dataclasses.fields(BroadcastOutcome):
+        got, want = getattr(clone, field.name), getattr(outcome, field.name)
+        assert (type(got), got) == (type(want), want), field.name
+
+
+def test_each_record_payload_is_schema_then_its_fields():
+    summary = batch_experiment(
+        1, "magic", OptimizerConfig(population=4, max_evals=8, restarts=1)
+    )
+    ends = ([0.5, 0.4, 0.3], [-0.2, 0.6, -0.4], [0.3, -0.5, 0.4], [0.6, 0.0, -0.6])
+    records = (
+        magic_report(t_state()),
+        broadcast_geometry_certificate(*ends, 1.1),
+        summary.per_sample[0],
+        summary,
+    )
+    for record in records:
+        names = [f.name for f in dataclasses.fields(record) if f.name != "per_sample"]
+        payload = record.to_json()
+        assert list(payload) == ["schema", *names]
+        assert payload["schema"] == 1
 
 
 def test_batch_experiment_resume_equivalence():
